@@ -8,9 +8,6 @@ before heavy work, and finishes by writing a manifest of produced files.
 Exit codes: 0 success, 2 configuration error, 3 I/O or data-format error,
 4 numeric failure (non-finite loss; a diagnostic dump path is printed),
 5 checkpoint/dataset incompatibility.
-
-The MSGFM_THREADS environment variable caps worker threads; computation
-here is single-threaded per process, which satisfies any cap >= 1.
 """
 
 import argparse
@@ -30,10 +27,9 @@ from .render import reconstruction_grid, write_png, write_ppm
 from .sensors import gen_synthetic, load_manifest, registry_preset, save_manifest
 from .training import Trainer, TrainConfig, load_pretrained, stream_rng
 from .transfer import (TransferConfig, cross_reconstruction_l1, finetune,
-                       make_task, reconstruction_report, task_metrics)
-from .masking import draw_mask, to_token_mask, to_pixel_mask
-from .model import reconstruct_sample
-from . import tensor as T
+                       make_task, reconstruct_records, reconstruction_report,
+                       task_metrics)
+from .masking import to_pixel_mask
 
 EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_COMPAT = 2, 3, 4, 5
 STREAM_EVAL = 5
@@ -42,19 +38,6 @@ STREAM_RENDER = 6
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-def _thread_cap():
-    raw = os.environ.get("MSGFM_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"MSGFM_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"MSGFM_THREADS must be >= 1, got {cap}")
-    return cap
-
 
 def _run_config(args):
     run = load_config(args.config) if args.config else desk_config()
@@ -391,26 +374,21 @@ def cmd_reconstruct(args):
     records = dataset.by_sensor[sensor.sensor_id][: run["reconstruct.samples"]]
     if not records:
         raise DataFormatError(f"no samples for sensor {sensor.name!r}")
-    rng = stream_rng(run["seed"], STREAM_RENDER)
+    results = reconstruct_records(params, mcfg, dataset, [(r, r) for r in records],
+                                  stream_rng(run["seed"], STREAM_RENDER))
     triples = []
     stats = []
-    for r in records:
+    for r, (plan, pred) in zip(records, results):
         gt = dataset.image(r.sample_id)
-        plan = draw_mask(dataset.width, dataset.height, mcfg.mask_unit,
-                         mcfg.mask_ratio, rng)
-        with T.no_grad():
-            pred, _aux, _reports = reconstruct_sample(
-                params, mcfg, gt, sensor.sensor_id,
-                to_token_mask(plan, mcfg.patch_size), sensor.sensor_id)
-        triples.append((gt, pred.data, to_pixel_mask(plan)))
+        triples.append((gt, pred, to_pixel_mask(plan)))
         if sensor.channels == 2:
             stats.append({
                 "sample_id": r.sample_id,
                 "gt_mean": [float(v) for v in gt.mean(axis=(1, 2))],
                 "gt_std": [float(v) for v in gt.std(axis=(1, 2))],
-                "pred_mean": [float(v) for v in pred.data.mean(axis=(1, 2))],
-                "pred_std": [float(v) for v in pred.data.std(axis=(1, 2))],
-                "ssi": [float(v) for v in ssi(gt, pred.data)],
+                "pred_mean": [float(v) for v in pred.mean(axis=(1, 2))],
+                "pred_std": [float(v) for v in pred.std(axis=(1, 2))],
+                "ssi": [float(v) for v in ssi(gt, pred)],
             })
     grid = reconstruction_grid(triples)
     base = os.path.join(args.out, f"reconstruct-{sensor.name}")
@@ -486,7 +464,6 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        _thread_cap()
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -46,8 +46,9 @@ class ReconstructionPlan:
 
 
 def decode(features, decoder, width, height):
-    """Project (L, C_m) features to the decoder's image space (C, W, H)."""
-    if features.ndim != 2 or features.shape[1] != decoder.proj.shape[1]:
+    """Project (L, C_m) features, or a (B, L, C_m) batch, to the decoder's
+    image space (C, W, H), or (B, C, W, H)."""
+    if features.ndim not in (2, 3) or features.shape[-1] != decoder.proj.shape[1]:
         raise ShapeError(
             f"decoder of sensor {decoder.sensor_id} expects feature width "
             f"{decoder.proj.shape[1]}, got {tuple(features.shape)}"
@@ -83,13 +84,25 @@ def choose_targets(records, dataset, mask_plans, p_cross, rng):
     return plans
 
 
-def reconstruction_loss(pred, plan):
+def reconstruction_loss(pred, plans):
     """Masked L1: mean absolute error over the source's masked pixels,
-    averaged over the target's channels."""
-    if tuple(pred.shape) != plan.target_image.shape:
-        raise ShapeError(
-            f"prediction shape {tuple(pred.shape)} != target shape {plan.target_image.shape}"
-        )
-    if not plan.pixel_loss_mask.any():
+    averaged over the target's channels.
+
+    `pred` is one (C, W, H) prediction scored by one plan, or a (B, C, W, H)
+    batch scored by a sequence of B plans; a batch gives the (B,) per-sample
+    losses.
+    """
+    batched = pred.ndim == 4
+    plans = list(plans) if batched else [plans]
+    target = np.stack([p.target_image for p in plans])
+    if tuple(pred.shape) != (target.shape if batched else target.shape[1:]):
+        raise ShapeError(f"prediction shape {tuple(pred.shape)} != target shape {target.shape}")
+    masks = np.stack([p.pixel_loss_mask for p in plans])[:, None].astype(pred.dtype)
+    counts = masks.sum(axis=(1, 2, 3)) * target.shape[1]
+    if not counts.all():
         raise ShapeError("reconstruction loss mask selects no pixels")
-    return T.l1_loss(pred, T.constant(plan.target_image, like=pred), plan.pixel_loss_mask)
+    if not batched:
+        target, masks, counts = target[0], masks[0], counts[0]
+    diff = T.abs_(pred - T.constant(target, like=pred))
+    axes = tuple(range(pred.ndim - 3, pred.ndim))
+    return T.reduce_sum(diff * T.constant(masks, like=pred), axis=axes) / T.constant(counts, like=pred)

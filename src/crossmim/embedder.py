@@ -1,10 +1,10 @@
 """Per-sensor patch embeddings into a common token width.
 
 Each sensor owns one stride-P convolution straight to the trunk width, so
-differently-channeled images all become (L, width) token sequences.  Masking
-happens here, after embedding: masked token positions are replaced by a
-single learned mask token shared across sensors, then positional embeddings
-are added.
+differently-channeled images all become (L, width) token sequences, one
+per sample of a (B, C, W, H) batch.  Masking happens here, after
+embedding: masked token positions are replaced by a single learned mask
+token shared across sensors, then positional embeddings are added.
 """
 
 from dataclasses import dataclass
@@ -49,37 +49,41 @@ class SharedTokens:
 
 
 def embed(image, embedder, shared, token_mask=None, image_sensor_id=None):
-    """Tokenize one image: conv-patch + bias, mask-token substitution on
+    """Tokenize images: conv-patch + bias, mask-token substitution on
     masked positions, then positional embedding.
 
     Args:
-        image: Tensor (C_i, W, H), channels matching the embedder's sensor.
-        token_mask: optional boolean array of length L; True positions lose
-            their content and carry no gradient back to the image.
+        image: Tensor (C_i, W, H), or a batch (B, C_i, W, H), channels
+            matching the embedder's sensor.
+        token_mask: optional boolean array of length L, or (B, L) for a
+            batch; True positions lose their content and carry no gradient
+            back to the image.
         image_sensor_id: sensor the image belongs to, for error messages.
+
+    Returns (L, width) tokens, or (B, L, width) for a batch.
     """
-    if image.ndim != 3:
-        raise ShapeError(f"embed expects (C,W,H), got {tuple(image.shape)}")
-    if image.shape[0] != embedder.in_channels:
+    if image.ndim not in (3, 4):
+        raise ShapeError(f"embed expects (C,W,H) or (B,C,W,H), got {tuple(image.shape)}")
+    if image.shape[-3] != embedder.in_channels:
         owner = f"embedder of sensor {embedder.sensor_id}"
         src = f"sensor {image_sensor_id}" if image_sensor_id is not None else "image"
         raise ShapeError(
-            f"channel mismatch: {src} has {image.shape[0]} channels, "
+            f"channel mismatch: {src} has {image.shape[-3]} channels, "
             f"{owner} expects {embedder.in_channels}"
         )
     tokens = T.conv_patch(image, embedder.kernel) + T.reshape(embedder.bias, (1, -1))
-    n_tokens = tokens.shape[0]
+    n_tokens = tokens.shape[-2]
     if shared.pos_embed.shape[0] != n_tokens:
         raise ShapeError(
             f"positional table covers {shared.pos_embed.shape[0]} tokens, image yields {n_tokens}"
         )
     if token_mask is not None:
         m = np.asarray(token_mask, dtype=bool)
-        if m.shape != (n_tokens,):
-            raise ShapeError(f"token mask length {m.shape} != token count {n_tokens}")
+        if m.shape != tokens.shape[:-1]:
+            raise ShapeError(f"token mask length {m.shape} != token count {tokens.shape[:-1]}")
         if m.any():
-            keep = T.constant((~m).astype(tokens.dtype)[:, None], like=tokens)
-            drop = T.constant(m.astype(tokens.dtype)[:, None], like=tokens)
+            keep = T.constant((~m).astype(tokens.dtype)[..., None], like=tokens)
+            drop = T.constant(m.astype(tokens.dtype)[..., None], like=tokens)
             tokens = tokens * keep + T.reshape(shared.mask_token, (1, -1)) * drop
     return tokens + shared.pos_embed
 

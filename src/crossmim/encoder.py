@@ -8,7 +8,7 @@ tokens skip the expert entirely and ride the residual connection.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,11 +60,11 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class RoutingReport:
-    """Per-MoE-layer dispatch accounting for one forward pass."""
+    """Per-MoE-layer dispatch accounting for one sample's forward pass."""
 
     block_index: int
     expert_counts: tuple  # tokens actually processed per expert
-    mean_gate_prob: tuple  # mean gate probability per expert over all tokens
+    mean_gate_prob: tuple  # mean gate probability per expert over the sample's tokens
     dropped: int
     aux_loss: float
 
@@ -76,6 +76,26 @@ class RoutingReport:
             "dropped": self.dropped,
             "aux_loss": self.aux_loss,
         }
+
+
+class BatchRouting(tuple):
+    """The RoutingReports of one MoE layer, one per sample of the batch.
+
+    `expert_counts` and `dropped` read as totals over the batch, so a
+    single-sample result reads like that sample's own report.
+    """
+
+    @property
+    def expert_counts(self):
+        return tuple(int(sum(c)) for c in zip(*(r.expert_counts for r in self)))
+
+    @property
+    def dropped(self):
+        return sum(r.dropped for r in self)
+
+    @property
+    def mean_gate_prob(self):
+        return tuple(float(np.mean(p)) for p in zip(*(r.mean_gate_prob for r in self)))
 
 
 def expert_capacity(n_tokens, num_experts, capacity_factor):
@@ -90,77 +110,101 @@ def _ffn(x, w1, b1, w2, b2):
     return T.gelu(x @ w1 + _row(b1)) @ w2 + _row(b2)
 
 
+def _batched(x):
+    """(L, width) -> (1, L, width); a (B, L, width) batch is returned as is."""
+    return T.reshape(x, (-1,) + tuple(x.shape[-2:]))
+
+
 def attention(x, p, heads):
-    """Standard multi-head self-attention over an (L, width) sequence."""
-    n, d = x.shape
+    """Multi-head self-attention over (L, width) or (B, L, width) sequences."""
+    xb = _batched(x)
+    b, n, d = xb.shape
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
-    def heads_first(t):
-        return T.transpose(T.reshape(t, (n, heads, dh)), (1, 0, 2))
+    def split(name, axes):
+        t = xb @ p["w" + name] + _row(p["b" + name])
+        return T.transpose(T.reshape(t, (b, n, heads, dh)), axes)
 
-    q = heads_first(x @ p["wq"] + _row(p["bq"]))
-    k = heads_first(x @ p["wk"] + _row(p["bk"]))
-    v = heads_first(x @ p["wv"] + _row(p["bv"]))
-    weights = T.softmax(T.matmul(q, T.transpose(k, (0, 2, 1))) * scale, axis=-1)
-    ctx = T.reshape(T.transpose(T.matmul(weights, v), (1, 0, 2)), (n, d))
-    return ctx @ p["wo"] + _row(p["bo"])
+    q = split("q", (0, 2, 1, 3))  # (B, H, L, dh)
+    kt = split("k", (0, 2, 3, 1))  # (B, H, dh, L)
+    v = split("v", (0, 2, 1, 3))
+    weights = T.softmax(T.matmul(q, kt) * scale, axis=-1)
+    ctx = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (b, n, d))
+    return T.reshape(ctx @ p["wo"] + _row(p["bo"]), x.shape)
+
+
+def _dispatch(assign, n_tokens, num_experts, capacity):
+    """Token indices each expert processes, in flat (sample, position) order.
+
+    `assign` holds the expert of every token of B samples of n_tokens each.
+    Tokens are stable-sorted by expert; a token's rank within its (sample,
+    expert) run is its arrival order, and tokens ranked at or past the
+    capacity are dropped.  Returns one index array per expert.
+    """
+    order = np.argsort(assign, kind="stable")
+    run = assign[order] * (len(assign) // n_tokens) + order // n_tokens
+    pos = np.arange(len(order))
+    rank = pos - np.maximum.accumulate(np.where(np.r_[True, run[1:] != run[:-1]], pos, 0))
+    kept = order[rank < capacity]
+    return np.split(kept, np.searchsorted(assign[kept], np.arange(1, num_experts)))
 
 
 def moe_forward(x, gate_w, experts, capacity_factor=1.25):
-    """Route each token of x (T, width) to its argmax expert.
+    """Route each token of x, (T, width) or (B, T, width), to its argmax expert.
 
-    experts: list of parameter dicts with keys w1/b1/w2/b2.  Returns the
-    combined output (zeros where a token was dropped), the balance loss as
-    a tape scalar, and a RoutingReport.
+    experts: list of parameter dicts with keys w1/b1/w2/b2.  The capacity
+    floor(cf * T / E) holds per expert and per sample, and a sample's
+    overflow tokens are dropped in arrival order.  Returns the combined
+    output (zeros where a token was dropped), the balance loss per sample
+    as a tape tensor of shape x.shape[:-2], and a BatchRouting with one
+    RoutingReport per sample.
 
     The balance loss is num_experts * sum_e f_e * P_e, where f_e is the
-    pre-drop fraction of tokens assigned to expert e (a constant) and P_e
-    the mean gate probability of e over all tokens (differentiable).
+    pre-drop fraction of the sample's tokens assigned to expert e (a
+    constant) and P_e the mean gate probability of e over the sample's
+    tokens (differentiable).
     """
     num_experts = len(experts)
     if num_experts == 0:
         raise ConfigError("moe_forward needs at least one expert")
-    n_tokens = x.shape[0]
-    if n_tokens < 1:
+    if x.shape[-2] < 1:
         raise ShapeError("moe_forward needs at least one token")
+    xb = _batched(x)
+    b, n_tokens, width = xb.shape
+    rows = T.reshape(xb, (b * n_tokens, width))
 
-    probs = T.softmax(x @ gate_w, axis=-1)  # (T, E)
-    assign = np.argmax(probs.data, axis=1)  # ties already break to lowest index
+    probs = T.softmax(xb @ gate_w, axis=-1)  # (B, T, E)
+    assign = np.argmax(probs.data, axis=-1).reshape(-1)  # ties break to lowest index
     capacity = expert_capacity(n_tokens, num_experts, capacity_factor)
 
+    gate_column = T.reshape(probs, (-1, 1))
     combined = None
-    kept_counts = []
-    dropped = 0
-    for e in range(num_experts):
-        idx = np.flatnonzero(assign == e)
-        kept = idx[:capacity]  # overflow dropped in arrival order
-        dropped += len(idx) - len(kept)
-        kept_counts.append(len(kept))
-        if len(kept) == 0:
+    for e, idx in enumerate(_dispatch(assign, n_tokens, num_experts, capacity)):
+        if len(idx) == 0:
             continue
-        xe = T.take_rows(x, kept)
-        ye = _ffn(xe, experts[e]["w1"], experts[e]["b1"], experts[e]["w2"], experts[e]["b2"])
-        onehot = np.zeros((num_experts, 1), dtype=probs.data.dtype)
-        onehot[e, 0] = 1.0
-        gate = T.take_rows(probs, kept) @ T.constant(onehot, like=probs)  # (k, 1)
-        part = T.put_rows(kept, ye * gate, n_tokens)
+        ye = _ffn(T.take_rows(rows, idx), experts[e]["w1"], experts[e]["b1"],
+                  experts[e]["w2"], experts[e]["b2"])
+        gate = T.take_rows(gate_column, idx * num_experts + e)  # (k, 1)
+        part = T.put_rows(idx, ye * gate, b * n_tokens)
         combined = part if combined is None else combined + part
-    if combined is None:  # every token dropped: impossible with capacity >= 1, kept for safety
-        combined = x * T.constant(0.0, like=x)
 
-    fractions = np.bincount(assign, minlength=num_experts) / float(n_tokens)
-    mean_prob = T.reduce_mean(probs, axis=0)  # (E,)
-    aux = T.reduce_sum(mean_prob * T.constant(fractions, like=probs)) * float(num_experts)
+    sample = np.arange(b * n_tokens) // n_tokens
+    routed = np.bincount(sample * num_experts + assign, minlength=b * num_experts)
+    routed = routed.reshape(b, num_experts)
+    processed = np.minimum(routed, capacity)
+    mean_prob = T.reduce_mean(probs, axis=1)  # (B, E)
+    fractions = T.constant(routed / float(n_tokens), like=probs)
+    aux = T.reduce_sum(mean_prob * fractions, axis=-1) * float(num_experts)  # (B,)
 
-    report = RoutingReport(
+    routing = BatchRouting(RoutingReport(
         block_index=-1,
-        expert_counts=tuple(kept_counts),
-        mean_gate_prob=tuple(float(v) for v in mean_prob.data),
-        dropped=int(dropped),
-        aux_loss=float(aux.data),
-    )
-    return combined, aux, report
+        expert_counts=tuple(int(c) for c in processed[i]),
+        mean_gate_prob=tuple(float(v) for v in mean_prob.data[i]),
+        dropped=int(n_tokens - processed[i].sum()),
+        aux_loss=float(aux.data[i]),
+    ) for i in range(b))
+    return T.reshape(combined, x.shape), T.reshape(aux, x.shape[:-2]), routing
 
 
 def _check_finite(x, block_index, stage):
@@ -173,17 +217,19 @@ def _check_finite(x, block_index, stage):
 
 
 def encode(tokens, config, params, prefix="encoder."):
-    """Run the shared trunk over one (L, width) token sequence.
+    """Run the shared trunk over (L, width) or (B, L, width) token sequences.
 
-    Returns (features, aux_loss, reports): aux_loss is the tape scalar sum
-    of balance losses over MoE blocks (a zero constant when there are none),
-    reports one RoutingReport per MoE block.
+    Returns (features, aux_loss, reports): aux_loss is the tape sum of
+    balance losses over MoE blocks per sample, shaped tokens.shape[:-2] (a
+    zero constant when there are none); reports holds one RoutingReport per
+    (sample, MoE block), sample-major.
     """
-    if tokens.ndim != 2 or tokens.shape[1] != config.width:
-        raise ShapeError(f"encode expects (L, {config.width}) tokens, got {tuple(tokens.shape)}")
-    x = tokens
-    aux_total = T.constant(np.zeros((), dtype=tokens.dtype))
-    reports = []
+    if tokens.ndim not in (2, 3) or tokens.shape[-1] != config.width:
+        raise ShapeError(f"encode expects (L, {config.width}) or (B, L, {config.width}) "
+                         f"tokens, got {tuple(tokens.shape)}")
+    x = _batched(tokens)
+    aux_total = T.constant(np.zeros(x.shape[:1], dtype=tokens.dtype))
+    per_block = []
     for k in range(config.depth):
         b = f"{prefix}block{k}."
         attn_params = {key: params[b + "attn." + key]
@@ -195,18 +241,13 @@ def encode(tokens, config, params, prefix="encoder."):
         if k in config.moe_block_indices:
             experts = [{key: params[f"{b}expert{e}.{key}"] for key in ("w1", "b1", "w2", "b2")}
                        for e in range(config.num_experts)]
-            y, aux, report = moe_forward(h, params[b + "gate.w"], experts, config.capacity_factor)
+            y, aux, routing = moe_forward(h, params[b + "gate.w"], experts, config.capacity_factor)
             aux_total = aux_total + aux
-            reports.append(RoutingReport(
-                block_index=k,
-                expert_counts=report.expert_counts,
-                mean_gate_prob=report.mean_gate_prob,
-                dropped=report.dropped,
-                aux_loss=report.aux_loss,
-            ))
+            per_block.append([replace(r, block_index=k) for r in routing])
         else:
             y = _ffn(h, params[b + "ffn.w1"], params[b + "ffn.b1"],
                      params[b + "ffn.w2"], params[b + "ffn.b2"])
         x = x + y
         _check_finite(x, k, "feedforward")
-    return x, aux_total, reports
+    reports = [r for sample in zip(*per_block) for r in sample]
+    return T.reshape(x, tokens.shape), T.reshape(aux_total, tokens.shape[:-2]), reports

@@ -113,12 +113,23 @@ def decoder_of(params, sensor_id, patch_size):
     )
 
 
-def reconstruct_sample(params, cfg, image, sensor_id, token_mask, target_sensor):
-    """Masked embed -> shared encode -> target sensor's decoder."""
-    x = image if isinstance(image, T.Tensor) else T.constant(image)
+def _encode_masked(params, cfg, images, sensor_id, token_mask):
+    x = images if isinstance(images, T.Tensor) else T.constant(images)
     tokens = embed(x, embedder_of(params, sensor_id), shared_tokens(params),
                    token_mask=token_mask, image_sensor_id=sensor_id)
-    feats, aux, reports = encode(tokens, cfg.encoder_config(), params)
+    return encode(tokens, cfg.encoder_config(), params)
+
+
+def reconstruct_sample(params, cfg, image, sensor_id, token_mask, target_sensor):
+    """Masked embed -> shared encode -> target sensor's decoder.
+
+    `image` is one (C, W, H) image with an (L,) token mask, or a batch
+    (B, C, W, H) of the same sensor with (B, L) masks, which runs the trunk
+    once for the whole batch.  Returns the prediction, (C_t, W, H) or
+    (B, C_t, W, H), the balance loss per sample, and the routing reports,
+    one per (sample, MoE block), sample-major.
+    """
+    feats, aux, reports = _encode_masked(params, cfg, image, sensor_id, token_mask)
     pred = decode(feats, decoder_of(params, target_sensor, cfg.patch_size),
                   cfg.image_w, cfg.image_h)
     return pred, aux, reports
@@ -127,13 +138,16 @@ def reconstruct_sample(params, cfg, image, sensor_id, token_mask, target_sensor)
 def round_loss(params, cfg, dataset, batch, mask_rng, cross_rng, p_cross=None):
     """Loss for one optimization round over every sensor's batch.
 
-    Sensors are visited in id order; per sensor, one mask plan is drawn per
-    sample, targets are chosen, and the per-sample masked L1 losses and
-    balance losses are averaged.  Returns the combined scalar
+    Sensors are visited in id order.  Per sensor, one mask plan is drawn per
+    sample, then targets are chosen; the sensor's whole batch runs through
+    the trunk at once, its rows are decoded in one group per target sensor,
+    and the per-sample masked L1 losses and balance losses are averaged.
+    Returns the combined scalar
 
         sum_sensors ( mean L1 + aux_weight * mean balance )
 
-    plus per-sensor stats and the routing reports of the round.
+    plus per-sensor stats and the routing reports of the round, one per
+    (sample, MoE block) in record order.
     """
     if p_cross is None:
         p_cross = cfg.p_cross
@@ -150,21 +164,24 @@ def round_loss(params, cfg, dataset, batch, mask_rng, cross_rng, p_cross=None):
             for r in records
         }
         targets = choose_targets(records, dataset, plans, p_cross, cross_rng)
-        mim_sum, aux_sum = None, None
-        for r, plan in zip(records, targets):
-            token_mask = to_token_mask(plans[r.sample_id], cfg.patch_size)
-            pred, aux, reports = reconstruct_sample(
-                params, cfg, dataset.image(r.sample_id), sensor_id, token_mask,
-                plan.target_sensor,
-            )
-            loss = reconstruction_loss(pred, plan)
+        images = np.stack([dataset.image(r.sample_id) for r in records])
+        token_masks = np.stack([to_token_mask(plans[r.sample_id], cfg.patch_size)
+                                for r in records])
+        feats, aux, reports = _encode_masked(params, cfg, images, sensor_id, token_masks)
+        all_reports.extend(reports)
+        mim_sum = None
+        for target_sensor in sorted({t.target_sensor for t in targets}):
+            rows = [i for i, t in enumerate(targets) if t.target_sensor == target_sensor]
+            group = feats if len(rows) == len(targets) else T.take_rows(feats, rows)
+            pred = decode(group, decoder_of(params, target_sensor, cfg.patch_size),
+                          cfg.image_w, cfg.image_h)
+            loss = T.reduce_sum(reconstruction_loss(pred, [targets[i] for i in rows]))
             mim_sum = loss if mim_sum is None else mim_sum + loss
-            aux_sum = aux if aux_sum is None else aux_sum + aux
-            all_reports.extend(reports)
-            stats["cross_samples" if plan.is_cross else "self_samples"] += 1
+        for t in targets:
+            stats["cross_samples" if t.is_cross else "self_samples"] += 1
         n = float(len(records))
         sensor_mim = mim_sum * (1.0 / n)
-        sensor_aux = aux_sum * (1.0 / n)
+        sensor_aux = T.reduce_sum(aux) * (1.0 / n)
         contribution = sensor_mim + cfg.aux_weight * sensor_aux
         total = contribution if total is None else total + contribution
         stats["sensors"][sensor_id] = {

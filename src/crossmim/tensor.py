@@ -10,6 +10,8 @@ Tensors default to float32; build parameters with ``dtype=np.float64`` when
 running gradient checks.
 """
 
+import ctypes
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -37,6 +39,33 @@ class Tape:
 
 _ACTIVE = Tape()
 _GRAD_ENABLED = True
+_MALLOC_TUNED = False
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _tune_malloc():
+    """Keep freed tape arrays in the process heap between steps.
+
+    By default glibc serves large arrays with mmap and returns them to the
+    kernel on free, so each step faults its whole tape in again.  Raising
+    the mmap threshold to glibc's maximum (32 MiB) and the trim threshold to
+    1 GiB lets the next step reuse the pages.  Raising the trim threshold
+    alone would freeze the mmap threshold at its 128 KiB default.  A no-op
+    where the C library has no mallopt.
+    """
+    global _MALLOC_TUNED
+    _MALLOC_TUNED = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def active_tape():
@@ -47,6 +76,8 @@ def active_tape():
 def fresh_tape():
     """Run a block on its own tape (used once per training step)."""
     global _ACTIVE
+    if not _MALLOC_TUNED:
+        _tune_malloc()
     saved = _ACTIVE
     _ACTIVE = Tape()
     try:
@@ -159,13 +190,24 @@ def _wrap(value, like):
 
 
 def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to `shape`."""
+    """Sum a broadcast gradient back down to `shape`.
+
+    Axis 0 of a gradient with extra leading axes is taken as the batch axis.
+    Each sample's share is reduced first; the samples are then added last
+    to first, the order in which one tape node per sample would have
+    accumulated them, so a batch gets the same gradient bits as its samples
+    run one at a time.
+    """
     extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    axes = tuple(range(1, extra)) + tuple(
+        extra + i for i, n in enumerate(shape) if n == 1 and g.shape[extra + i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
+    if extra > 0:
+        total = g[-1]
+        for part in g[-2::-1]:
+            total = total + part
+        g = total.reshape(shape)
     return g
 
 
@@ -326,12 +368,12 @@ def sigmoid(a):
 def gelu(a):
     """Exact (erf-based) GELU."""
     x = a.data
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    cdf = 0.5 * (1.0 + erf(x * inv_sqrt2))
-    out = Tensor((x * cdf).astype(x.dtype))
+    # Python floats, not NumPy float64 scalars, keep float32 input float32
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    out = Tensor(x * cdf)
 
     def back(g):
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         _accumulate(a, g * (cdf + x * pdf))
 
     return _record(out, (a,), back)
@@ -355,8 +397,11 @@ def matmul(a, b):
 
 
 def reshape(a, shape):
-    shape = tuple(int(s) for s in shape)
-    out = Tensor(a.data.reshape(shape))
+    """Reshape; returns `a` itself, recording nothing, when the shape is unchanged."""
+    data = a.data.reshape(tuple(int(s) for s in shape))
+    if data.shape == a.data.shape:
+        return a
+    out = Tensor(data)
 
     def back(g):
         _accumulate(a, g.reshape(a.data.shape))
@@ -457,10 +502,10 @@ def concat(tensors, axis=0):
 
 def softmax(a, axis=-1):
     """Row-stable softmax; rejects NaN input."""
-    if np.isnan(a.data).any():
+    row_max = a.data.max(axis=axis, keepdims=True)
+    if np.isnan(row_max).any():  # max propagates NaN, so this sees every NaN row
         raise NumericError("softmax received NaN input")
-    shift = constant(a.data.max(axis=axis, keepdims=True), like=a)
-    e = exp(sub(a, shift))
+    e = exp(sub(a, constant(row_max, like=a)))
     return div(e, reduce_sum(e, axis=axis, keepdims=True))
 
 
@@ -476,15 +521,15 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 
 def conv_patch(x, kernel):
-    """Non-overlapping patch convolution: (C,W,H) -> (L, D) tokens.
+    """Non-overlapping patch convolution: (..., C, W, H) -> (..., L, D) tokens.
 
     The stride equals the kernel's spatial size P, so each token is the
     flattened (C,P,P) patch dotted with each of the D filters.  Token order
     is row-major over the (W/P, H/P) patch grid.
     """
-    if x.ndim != 3 or kernel.ndim != 4:
-        raise ShapeError(f"conv_patch expects (C,W,H) and (D,C,P,P), got {tuple(x.shape)} and {tuple(kernel.shape)}")
-    c, w, h = x.shape
+    if x.ndim < 3 or kernel.ndim != 4:
+        raise ShapeError(f"conv_patch expects (..., C,W,H) and (D,C,P,P), got {tuple(x.shape)} and {tuple(kernel.shape)}")
+    c, w, h = x.shape[-3:]
     d, kc, p, p2 = kernel.shape
     if p != p2:
         raise ShapeError(f"conv_patch kernel must be square, got {p}x{p2}")
@@ -492,8 +537,7 @@ def conv_patch(x, kernel):
         raise ShapeError(f"conv_patch channel mismatch: image has {c}, kernel expects {kc}")
     if w % p != 0 or h % p != 0:
         raise ShapeError(f"image size not divisible by patch size: W={w}, H={h}, P={p}")
-    patches = patchify(x, p)
-    return matmul(patches, transpose(reshape(kernel, (d, c * p * p))))
+    return matmul(patchify(x, p), transpose(reshape(kernel, (d, c * p * p))))
 
 
 def patchify(x, p):

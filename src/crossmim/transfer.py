@@ -22,7 +22,7 @@ from . import tensor as T
 from .embedder import embed, stack_embedders_for_transfer, SensorEmbedder
 from .encoder import encode
 from .errors import ConfigError, ShapeError
-from .masking import draw_mask, to_token_mask
+from .masking import draw_mask, to_pixel_mask, to_token_mask
 from .metrics import mae, mean_iou, psnr, sam_degrees, ssim
 from .model import embedder_of, param_rng, reconstruct_sample, shared_tokens, INIT_STD
 
@@ -115,59 +115,55 @@ def init_transfer_params(pretrained, registry, model_cfg, tcfg, task_sensors, se
     return params
 
 
-def _encode_tokens(tokens, model_cfg, params):
-    feats, _aux, _reports = encode(tokens, model_cfg.encoder_config(), params)
-    return feats
-
-
-def finetune_forward(params, model_cfg, tcfg, task_sensors, sample):
+def finetune_forward(params, model_cfg, tcfg, task_sensors, samples):
     """Head output for one TaskSample: (K,) logits for multilabel, or a
-    dense (channels-or-classes, W, H) map for the dense heads."""
+    dense (channels-or-classes, W, H) map for the dense heads.  Given a
+    sequence of samples, every task sensor's images run through the trunk
+    as one batch and the output gains a leading (B,) axis."""
+    single = isinstance(samples, TaskSample)
+    batch = [samples] if single else list(samples)
     for sid in task_sensors:
-        if sid not in sample.images:
+        if any(sid not in s.images for s in batch):
             raise ConfigError(f"sample is missing sensor {sid} required by the transfer mode")
+    like = params["head.w"]
     shared = shared_tokens(params)
+    encoder_cfg = model_cfg.encoder_config()
     if tcfg.mode == "shared_encoder_concat":
         feats = []
         for sid in task_sensors:
-            tokens = embed(T.constant(sample.images[sid], like=params["head.w"]),
-                           embedder_of(params, sid), shared, token_mask=None,
-                           image_sensor_id=sid)
-            feats.append(_encode_tokens(tokens, model_cfg, params))
-        per_token = feats[0] if len(feats) == 1 else T.concat(feats, axis=1)
+            images = T.constant(np.stack([s.images[sid] for s in batch]), like=like)
+            tokens = embed(images, embedder_of(params, sid), shared, image_sensor_id=sid)
+            feats.append(encode(tokens, encoder_cfg, params)[0])
+        per_token = feats[0] if len(feats) == 1 else T.concat(feats, axis=-1)
     else:
-        stacked_img = np.concatenate([sample.images[sid] for sid in task_sensors], axis=0)
+        stacked = np.stack([np.concatenate([s.images[sid] for sid in task_sensors], axis=0)
+                            for s in batch])
         fused = SensorEmbedder(sensor_id=-1, kernel=params["transfer.embed.kernel"],
                                bias=params["transfer.embed.bias"])
-        tokens = embed(T.constant(stacked_img, like=params["head.w"]), fused, shared,
-                       token_mask=None)
-        per_token = _encode_tokens(tokens, model_cfg, params)
+        tokens = embed(T.constant(stacked, like=like), fused, shared)
+        per_token = encode(tokens, encoder_cfg, params)[0]  # (B, L, width)
 
+    head_b = T.reshape(params["head.b"], (1, -1))
     if tcfg.head == "multilabel":
-        pooled = T.reshape(T.reduce_mean(per_token, axis=0), (1, -1))
-        return T.reshape(pooled @ params["head.w"] + T.reshape(params["head.b"], (1, -1)), (-1,))
-    dense = per_token @ params["head.w"] + T.reshape(params["head.b"], (1, -1))
-    channels = tcfg.out_channels if tcfg.head == "dense_regression" else tcfg.num_classes
-    return T.unpatchify(dense, model_cfg.patch_size, channels,
-                        model_cfg.image_w, model_cfg.image_h)
+        out = T.reduce_mean(per_token, axis=1) @ params["head.w"] + head_b  # (B, K)
+    else:
+        dense = per_token @ params["head.w"] + head_b
+        channels = tcfg.out_channels if tcfg.head == "dense_regression" else tcfg.num_classes
+        out = T.unpatchify(dense, model_cfg.patch_size, channels,
+                           model_cfg.image_w, model_cfg.image_h)
+    return T.reshape(out, out.shape[1:]) if single else out
 
 
 def task_loss(params, model_cfg, tcfg, task_sensors, samples):
     """Mean task loss over a batch of TaskSamples."""
-    total = None
-    for sample in samples:
-        out = finetune_forward(params, model_cfg, tcfg, task_sensors, sample)
-        if tcfg.head == "multilabel":
-            loss = T.bce_with_logits(out, T.constant(sample.label, like=out))
-        elif tcfg.head == "dense_regression":
-            loss = T.l1_loss(out, T.constant(sample.label, like=out),
-                             np.ones(out.shape[-2:], dtype=bool))
-        else:
-            k = tcfg.num_classes
-            logits = T.transpose(T.reshape(out, (k, -1)))  # (pixels, K)
-            loss = T.softmax_cross_entropy(logits, sample.label.reshape(-1))
-        total = loss if total is None else total + loss
-    return total * (1.0 / len(samples))
+    out = finetune_forward(params, model_cfg, tcfg, task_sensors, samples)
+    labels = np.stack([s.label for s in samples])
+    if tcfg.head == "multilabel":
+        return T.bce_with_logits(out, T.constant(labels, like=out))
+    if tcfg.head == "dense_regression":
+        return T.l1_loss(out, T.constant(labels, like=out), np.ones(out.shape[-2:], dtype=bool))
+    logits = T.reshape(T.transpose(out, (0, 2, 3, 1)), (-1, tcfg.num_classes))  # (pixels, K)
+    return T.softmax_cross_entropy(logits, labels.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +241,9 @@ def task_metrics(params, model_cfg, tcfg, task_sensors, samples):
     from .metrics import map_score  # local to keep module load light
 
     with T.no_grad():
-        outs = [finetune_forward(params, model_cfg, tcfg, task_sensors, s).data
-                for s in samples]
+        outs = finetune_forward(params, model_cfg, tcfg, task_sensors, samples).data
     if tcfg.head == "multilabel":
-        scores = np.stack(outs)
-        labels = np.stack([s.label for s in samples])
-        return {"map": map_score(scores, labels)}
+        return {"map": map_score(outs, np.stack([s.label for s in samples]))}
     if tcfg.head == "dense_regression":
         return {"mae": float(np.mean([mae(o, s.label) for o, s in zip(outs, samples)]))}
     preds = [np.argmax(o, axis=0) for o in outs]
@@ -307,6 +300,30 @@ def finetune(registry, model_cfg, tcfg, task_sensors, samples, pretrained,
 # ---------------------------------------------------------------------------
 # reconstruction evaluation (pretraining-quality view)
 
+def reconstruct_records(params, model_cfg, dataset, pairs, rng):
+    """Mask and reconstruct (record, target record) pairs without a tape.
+
+    One mask plan is drawn per pair, in order, from `rng`; pairs sharing a
+    (source, target) sensor then run through the trunk as one batch.
+    Returns (plan, prediction array) per pair, in order.
+    """
+    plans = [draw_mask(dataset.width, dataset.height, model_cfg.mask_unit,
+                       model_cfg.mask_ratio, rng) for _ in pairs]
+    groups = {}
+    for i, (r, target) in enumerate(pairs):
+        groups.setdefault((r.sensor_id, target.sensor_id), []).append(i)
+    preds = [None] * len(pairs)
+    for (source, target), idx in groups.items():
+        images = np.stack([dataset.image(pairs[i][0].sample_id) for i in idx])
+        masks = np.stack([to_token_mask(plans[i], model_cfg.patch_size) for i in idx])
+        with T.no_grad():
+            pred, _aux, _reports = reconstruct_sample(params, model_cfg, images, source,
+                                                      masks, target)
+        for i, p in zip(idx, pred.data):
+            preds[i] = p
+    return list(zip(plans, preds))
+
+
 def reconstruction_report(params, model_cfg, dataset, records, rng):
     """Self-reconstruction quality per sensor on the given records.
 
@@ -317,27 +334,18 @@ def reconstruction_report(params, model_cfg, dataset, records, rng):
     ground-truth image's value range as max_val.
     """
     buckets = {}
-    for r in records:
-        gt = dataset.image(r.sample_id)
-        plan = draw_mask(dataset.width, dataset.height, model_cfg.mask_unit,
-                         model_cfg.mask_ratio, rng)
-        with T.no_grad():
-            pred, _aux, _reports = reconstruct_sample(
-                params, model_cfg, gt, r.sensor_id,
-                to_token_mask(plan, model_cfg.patch_size), r.sensor_id)
-        pred = pred.data.astype(np.float64)
-        gt64 = gt.astype(np.float64)
+    results = reconstruct_records(params, model_cfg, dataset, [(r, r) for r in records], rng)
+    for r, (plan, pred) in zip(records, results):
+        pred = pred.astype(np.float64)
+        gt64 = dataset.image(r.sample_id).astype(np.float64)
         rng_span = float(gt64.max() - gt64.min()) or 1.0
-        pix = plan.mask_unit
-        mask = np.repeat(np.repeat(plan.grid, pix, axis=0), pix, axis=1)
-        masked_l1 = float(np.abs(pred - gt64)[:, mask].mean())
         entry = {
-            "masked_l1": masked_l1,
+            "masked_l1": float(np.abs(pred - gt64)[:, to_pixel_mask(plan)].mean()),
             "mae": mae(pred, gt64),
             "psnr": psnr(pred, gt64, rng_span),
             "ssim": ssim(pred, gt64, rng_span),
         }
-        if gt.shape[0] >= 2:
+        if gt64.shape[0] >= 2:
             entry["sam_deg"] = sam_degrees(pred, gt64)
         buckets.setdefault(r.sensor_id, []).append(entry)
 
@@ -357,19 +365,11 @@ def cross_reconstruction_l1(params, model_cfg, dataset, records, rng):
     is masked, decoded through its partner's decoder, and scored against the
     partner image on the source's masked footprint.  None when no record has
     a partner."""
+    pairs = [(r, dataset.records[r.partner_sample_id]) for r in records
+             if r.partner_sample_id is not None]
     vals = []
-    for r in records:
-        if r.partner_sample_id is None:
-            continue
-        partner = dataset.records[r.partner_sample_id]
-        plan = draw_mask(dataset.width, dataset.height, model_cfg.mask_unit,
-                         model_cfg.mask_ratio, rng)
-        with T.no_grad():
-            pred, _aux, _reports = reconstruct_sample(
-                params, model_cfg, dataset.image(r.sample_id), r.sensor_id,
-                to_token_mask(plan, model_cfg.patch_size), partner.sensor_id)
+    for (_r, partner), (plan, pred) in zip(
+            pairs, reconstruct_records(params, model_cfg, dataset, pairs, rng)):
         gt = dataset.image(partner.sample_id).astype(np.float64)
-        pix = plan.mask_unit
-        mask = np.repeat(np.repeat(plan.grid, pix, axis=0), pix, axis=1)
-        vals.append(float(np.abs(pred.data.astype(np.float64) - gt)[:, mask].mean()))
+        vals.append(float(np.abs(pred.astype(np.float64) - gt)[:, to_pixel_mask(plan)].mean()))
     return float(np.mean(vals)) if vals else None

@@ -2,13 +2,20 @@
 
 Everything here is deliberately written as plain loops (or the most naive
 numpy expression available) over raw arrays, avoiding the library's own
-code paths, so that a bug on either side shows up as a disagreement.
+code paths, so that a bug on either side shows up as a disagreement.  The
+one exception is the per-sample pretraining round at the end, which runs
+the library's layers one sample at a time as a reference for its batched
+round.
 """
 
 import math
 
 import numpy as np
 from scipy.special import erf
+
+from crossmim.decoders import choose_targets, reconstruction_loss
+from crossmim.masking import draw_mask, to_token_mask
+from crossmim.model import reconstruct_sample
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +241,7 @@ def moe_dispatch_naive(x, gate_w, experts, capacity_factor):
             continue
         xe = x[np.asarray(rows, dtype=np.intp)]
         h = xe @ experts[j]["w1"] + experts[j]["b1"].reshape(1, -1)
-        h = (h * (0.5 * (1.0 + erf(h * (1.0 / np.sqrt(2.0)))))).astype(h.dtype)
+        h = h * (0.5 * (1.0 + erf(h * (1.0 / math.sqrt(2.0)))))
         ye = h @ experts[j]["w2"] + experts[j]["b2"].reshape(1, -1)
         for row, t in enumerate(rows):
             combined[t] = ye[row] * probs[t, j]
@@ -298,3 +305,45 @@ def adamw_naive(w, grads, lr, beta1, beta2, eps, weight_decay, decay_applies):
             update = update + weight_decay * w
         w = w - lr * update
     return w
+
+
+# ---------------------------------------------------------------------------
+# per-sample pretraining round
+
+def round_loss_per_sample(params, cfg, dataset, batch, mask_rng, cross_rng, p_cross):
+    """The pretraining round with the trunk run once per sample.
+
+    Draws the same masks and cross coins in the same order as
+    `crossmim.model.round_loss` and returns (total, stats, reports) in its
+    format: per sensor, the mean masked L1 plus aux_weight times the mean
+    balance loss.
+    """
+    total = None
+    stats = {"sensors": {}, "cross_samples": 0, "self_samples": 0}
+    all_reports = []
+    for sensor_id in sorted(batch.per_sensor):
+        records = batch.per_sensor[sensor_id]
+        if not records:
+            continue
+        plans = {r.sample_id: draw_mask(dataset.width, dataset.height, cfg.mask_unit,
+                                        cfg.mask_ratio, mask_rng) for r in records}
+        targets = choose_targets(records, dataset, plans, p_cross, cross_rng)
+        mim_sum, aux_sum = None, None
+        for r, plan in zip(records, targets):
+            pred, aux, reports = reconstruct_sample(
+                params, cfg, dataset.image(r.sample_id), sensor_id,
+                to_token_mask(plans[r.sample_id], cfg.patch_size), plan.target_sensor)
+            loss = reconstruction_loss(pred, plan)
+            mim_sum = loss if mim_sum is None else mim_sum + loss
+            aux_sum = aux if aux_sum is None else aux_sum + aux
+            all_reports.extend(reports)
+            stats["cross_samples" if plan.is_cross else "self_samples"] += 1
+        n = float(len(records))
+        sensor_mim = mim_sum * (1.0 / n)
+        sensor_aux = aux_sum * (1.0 / n)
+        contribution = sensor_mim + cfg.aux_weight * sensor_aux
+        total = contribution if total is None else total + contribution
+        stats["sensors"][sensor_id] = {"mim": float(sensor_mim.data),
+                                       "aux": float(sensor_aux.data)}
+    stats["loss_total"] = float(total.data)
+    return total, stats, all_reports

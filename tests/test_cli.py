@@ -241,19 +241,6 @@ def test_config_error_exit_codes(ws, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_thread_cap_env_validation(ws, tmp_path, monkeypatch, capsys):
-    out = tmp_path / "threads"
-    argv = ["gen-data", "--config", ws["cfg"], "--out", str(out),
-            "--set", "data.n_per_sensor=1"]
-    monkeypatch.setenv("MSGFM_THREADS", "x")
-    assert main(argv) == 2
-    assert "MSGFM_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("MSGFM_THREADS", "0")
-    assert main(argv) == 2
-    monkeypatch.setenv("MSGFM_THREADS", "4")
-    assert main(argv) == 0
-
-
 def test_io_error_exit_codes(ws, tmp_path, capsys):
     out = str(tmp_path / "x")
     assert main(["pretrain", "--config", ws["cfg"],

@@ -9,8 +9,11 @@ from crossmim.errors import NumericError
 from crossmim.masking import to_pixel_mask, draw_mask, to_token_mask
 from crossmim.model import (decoder_of, embedder_of, init_params, param_rng,
                             reconstruct_sample, round_loss, shared_tokens)
-from crossmim.sensors import MultisensorBatch, gen_synthetic, pair_registry
+from crossmim.sensors import (MultisensorBatch, desk_registry, gen_synthetic,
+                              pair_registry)
 from crossmim.training import STREAM_CROSS, STREAM_MASK, stream_rng
+
+import oracles
 
 MCFG = ModelConfig(width=16, depth=2, heads=2, patch_size=4, image_w=16,
                    image_h=16, mask_unit=8, mask_ratio=0.6, moe=True,
@@ -153,3 +156,69 @@ def test_round_loss_rejects_empty_round():
     with pytest.raises(NumericError, match="no samples"):
         round_loss(params, MCFG, ds, empty, stream_rng(1, STREAM_MASK),
                    stream_rng(1, STREAM_CROSS))
+
+
+def _round_with_grads(round_fn, params, cfg, ds, batch, seed):
+    mask_rng, cross_rng = stream_rng(seed, STREAM_MASK), stream_rng(seed, STREAM_CROSS)
+    T.zero_grads(params.values())
+    with T.fresh_tape():
+        total, stats, reports = round_fn(params, cfg, ds, batch, mask_rng, cross_rng, 0.5)
+        T.backward(total)
+    grads = {k: p.grad for k, p in params.items()}
+    return total, stats, reports, grads, (mask_rng.bit_generator.state,
+                                          cross_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("moe", [True, False])
+def test_batched_round_matches_per_sample_oracle_in_float64(moe):
+    # desk registry: one unpaired sensor and two pairs, cross targets at
+    # p_cross=0.5; sharpened gates make the MoE blocks drop tokens
+    registry = desk_registry()
+    cfg = ModelConfig(width=16, depth=4, heads=2, patch_size=4, image_w=16, image_h=16,
+                      mask_unit=8, mask_ratio=0.5, moe=moe, num_experts=4, ffn_mult=2)
+    ds = gen_synthetic(registry, 4, 16, 16, seed=5)
+    params = init_params(registry, cfg, seed=2, dtype=np.float64)
+    for k, p in params.items():
+        if k.endswith("gate.w"):
+            p.data *= 200.0
+    batch = full_batch(ds)
+    got = _round_with_grads(round_loss, params, cfg, ds, batch, seed=9)
+    want = _round_with_grads(oracles.round_loss_per_sample, params, cfg, ds, batch, seed=9)
+
+    (total, stats, reports, grads, states), (w_total, w_stats, w_reports, w_grads, w_states) = got, want
+    assert float(total.data) == pytest.approx(float(w_total.data), rel=1e-10, abs=0.0)
+    assert stats["cross_samples"] == w_stats["cross_samples"] > 0
+    assert stats["self_samples"] == w_stats["self_samples"] > 0
+    scale = max(float(np.abs(g).max()) for g in w_grads.values() if g is not None)
+    for k in params:
+        assert (grads[k] is None) == (w_grads[k] is None), k
+        if grads[k] is not None:
+            np.testing.assert_allclose(grads[k], w_grads[k], rtol=0.0, atol=1e-10 * scale,
+                                       err_msg=k)
+    assert states == w_states
+    assert [(r.block_index, r.expert_counts, r.dropped) for r in reports] == \
+        [(r.block_index, r.expert_counts, r.dropped) for r in w_reports]
+    for r, w in zip(reports, w_reports):
+        np.testing.assert_allclose(r.mean_gate_prob, w.mean_gate_prob, rtol=1e-12)
+        assert r.aux_loss == pytest.approx(w.aux_loss, rel=1e-12)
+    if moe:
+        assert len(reports) == 2 * len(ds.records)  # blocks 1 and 3, sample-major
+        assert sum(r.dropped for r in reports) > 0
+    else:
+        assert reports == []
+
+
+def test_float32_round_tape_holds_no_float64_array():
+    params = init_params(REG, MCFG, seed=1)
+    ds = gen_synthetic(REG, 2, 16, 16, seed=3)
+    wide = []
+    with T.fresh_tape() as tape:
+        round_loss(params, MCFG, ds, full_batch(ds), stream_rng(1, STREAM_MASK),
+                   stream_rng(1, STREAM_CROSS), p_cross=0.5)
+        for out, fn in tape.nodes:
+            held = [out.data] + [c.cell_contents for c in fn.__closure__ or ()]
+            held = [h.data if isinstance(h, T.Tensor) else h for h in held]
+            wide += [fn.__qualname__ for h in held
+                     if isinstance(h, np.ndarray) and h.dtype == np.float64]
+    assert len(tape) > 0
+    assert wide == []

@@ -4,6 +4,8 @@ Builds a few scalar and matrix expressions, runs reverse-mode backward,
 and spot-checks one gradient against a central finite difference.
 """
 
+import math
+
 import numpy as np
 
 import crossmim.tensor as T
@@ -12,12 +14,13 @@ import crossmim.tensor as T
 def main():
     print("== scalars ==")
     x = T.Tensor(1.5, requires_grad=True)
-    y = T.tanh(x) * 2.0 + x * x
     with T.fresh_tape():
-        y = T.tanh(x) * 2.0 + x * x
+        y = T.gelu(x) * 2.0 + x * x
         T.backward(y)
-    # d/dx [2 tanh(x) + x^2] = 2 (1 - tanh^2 x) + 2x
-    expect = 2.0 * (1.0 - np.tanh(1.5) ** 2) + 3.0
+    # d/dx [2 gelu(x) + x^2] = 2 (Phi(x) + x phi(x)) + 2x
+    cdf = 0.5 * (1.0 + math.erf(1.5 / math.sqrt(2.0)))
+    pdf = math.exp(-0.5 * 1.5 * 1.5) / math.sqrt(2.0 * math.pi)
+    expect = 2.0 * (cdf + 1.5 * pdf) + 3.0
     print(f"y  = {y.item():.6f}")
     print(f"dy/dx analytic {float(x.grad):.6f}, closed form {expect:.6f}")
     x.zero_grad()
@@ -28,7 +31,7 @@ def main():
     b = T.Tensor(np.zeros(4), requires_grad=True)
     data = T.constant(rng.normal(size=(8, 3)))
     with T.fresh_tape():
-        pred = data @ w + T.reshape(b, (1, -1))
+        pred = T.linear(data, w, b)
         loss = T.reduce_mean(pred * pred)
         T.backward(loss)
     print(f"loss {loss.item():.6f}")
@@ -41,7 +44,7 @@ def main():
 
     def f():
         with T.no_grad():
-            p = data @ w + T.reshape(b, (1, -1))
+            p = T.linear(data, w, b)
             return float(T.reduce_mean(p * p).data)
 
     flat[5] = orig + h

@@ -53,7 +53,7 @@ def decode(features, decoder, width, height):
             f"decoder of sensor {decoder.sensor_id} expects feature width "
             f"{decoder.proj.shape[1]}, got {tuple(features.shape)}"
         )
-    tokens = features @ T.transpose(decoder.proj) + T.reshape(decoder.bias, (1, -1))
+    tokens = T.linear(features, T.transpose(decoder.proj), decoder.bias)
     return T.unpatchify(tokens, decoder.patch_size, decoder.channels, width, height)
 
 

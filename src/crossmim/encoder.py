@@ -102,12 +102,8 @@ def expert_capacity(n_tokens, num_experts, capacity_factor):
     return max(1, int(math.floor(capacity_factor * n_tokens / num_experts)))
 
 
-def _row(bias):
-    return T.reshape(bias, (1, -1))
-
-
 def _ffn(x, w1, b1, w2, b2):
-    return T.gelu(x @ w1 + _row(b1)) @ w2 + _row(b2)
+    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
 
 
 def _batched(x):
@@ -123,15 +119,14 @@ def attention(x, p, heads):
     scale = 1.0 / math.sqrt(dh)
 
     def split(name, axes):
-        t = xb @ p["w" + name] + _row(p["b" + name])
+        t = T.linear(xb, p["w" + name], p["b" + name])
         return T.transpose(T.reshape(t, (b, n, heads, dh)), axes)
 
     q = split("q", (0, 2, 1, 3))  # (B, H, L, dh)
     kt = split("k", (0, 2, 3, 1))  # (B, H, dh, L)
     v = split("v", (0, 2, 1, 3))
-    weights = T.softmax(T.matmul(q, kt) * scale, axis=-1)
-    ctx = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (b, n, d))
-    return T.reshape(ctx @ p["wo"] + _row(p["bo"]), x.shape)
+    ctx = T.reshape(T.transpose(T.attend(q, kt, v, scale), (0, 2, 1, 3)), (b, n, d))
+    return T.reshape(T.linear(ctx, p["wo"], p["bo"]), x.shape)
 
 
 def _dispatch(assign, n_tokens, num_experts, capacity):

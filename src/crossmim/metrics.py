@@ -107,14 +107,6 @@ def psnr(a, b, max_val):
     return float(10.0 * math.log10(max_val * max_val / mse))
 
 
-def _gaussian_kernel(size, sigma):
-    half = (size - 1) / 2.0
-    coords = np.arange(size, dtype=np.float64) - half
-    g = np.exp(-(coords ** 2) / (2.0 * sigma * sigma))
-    kernel = np.outer(g, g)
-    return kernel / kernel.sum()
-
-
 def ssim(a, b, max_val=1.0, window=11, sigma=1.5):
     """Mean structural similarity over valid Gaussian windows and channels.
 
@@ -135,19 +127,21 @@ def ssim(a, b, max_val=1.0, window=11, sigma=1.5):
         k -= 1
     if k < 1:
         raise ShapeError(f"image {w}x{h} too small for any ssim window")
-    kern = _gaussian_kernel(k, sigma)
+    coords = np.arange(k, dtype=np.float64) - (k - 1) / 2.0
+    g = np.exp(-(coords ** 2) / (2.0 * sigma * sigma))
+    g /= g.sum()  # the 2-D window is outer(g, g)
     c1 = (0.01 * max_val) ** 2
     c2 = (0.03 * max_val) ** 2
 
-    def windows(x):
-        return np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+    def band(n):
+        """(n - k + 1, n) rows applying g at every valid offset of an axis."""
+        rows = np.arange(n - k + 1)[:, None]
+        m = np.zeros((n - k + 1, n))
+        m[rows, rows + np.arange(k)] = g
+        return m
 
-    wa, wb = windows(a), windows(b)
-    mu_a = np.tensordot(wa, kern, axes=([-2, -1], [0, 1]))
-    mu_b = np.tensordot(wb, kern, axes=([-2, -1], [0, 1]))
-    ea = np.tensordot(wa * wa, kern, axes=([-2, -1], [0, 1]))
-    eb = np.tensordot(wb * wb, kern, axes=([-2, -1], [0, 1]))
-    eab = np.tensordot(wa * wb, kern, axes=([-2, -1], [0, 1]))
+    stack = np.stack([a, b, a * a, b * b, a * b])  # (5, C, W, H)
+    mu_a, mu_b, ea, eb, eab = band(w) @ stack @ band(h).T  # filter along W, then H
     var_a = ea - mu_a * mu_a
     var_b = eb - mu_b * mu_b
     cov = eab - mu_a * mu_b

@@ -1,10 +1,12 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Every differentiable operation the model needs is defined here, either as a
-primitive with a hand-written gradient or as a composition of primitives.
-Operations are recorded on a tape in execution order; ``backward`` walks the
-tape in exact reverse order, so recording order doubles as the topological
-order.  There is no other global state.
+Every differentiable operation is a primitive with a hand-written gradient,
+including the fused layers `linear`, `softmax`, `layer_norm` and `attend`,
+one tape node each; their composite forms survive only as float64 oracles
+in the tests.  Patch reshapes and `l1_loss` are the only compositions here.
+Operations are recorded on a tape in execution order; ``backward`` walks
+the tape in exact reverse order, so recording order doubles as the
+topological order.  There is no other global state.
 
 Tensors default to float32; build parameters with ``dtype=np.float64`` when
 running gradient checks.
@@ -15,7 +17,7 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from .errors import NumericError, ShapeError
 
@@ -172,9 +174,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, _wrap(other, self))
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
 
 def constant(value, like=None, dtype=None):
     """Wrap raw data as a non-differentiable tensor, matching `like`'s dtype."""
@@ -305,62 +304,11 @@ def div(a, b):
     return _record(out, (a, b), back)
 
 
-def power(a, exponent):
-    """Elementwise power with a constant scalar exponent."""
-    p = float(exponent)
-    out = Tensor(a.data ** p)
-
-    def back(g):
-        _accumulate(a, g * p * a.data ** (p - 1.0))
-
-    return _record(out, (a,), back)
-
-
-def exp(a):
-    out = Tensor(np.exp(a.data))
-
-    def back(g):
-        _accumulate(a, g * out.data)
-
-    return _record(out, (a,), back)
-
-
-def log(a):
-    out = Tensor(np.log(a.data))
-
-    def back(g):
-        _accumulate(a, g / a.data)
-
-    return _record(out, (a,), back)
-
-
 def abs_(a):
     out = Tensor(np.abs(a.data))
 
     def back(g):
         _accumulate(a, g * np.sign(a.data))
-
-    return _record(out, (a,), back)
-
-
-def tanh(a):
-    out = Tensor(np.tanh(a.data))
-
-    def back(g):
-        _accumulate(a, g * (1.0 - out.data * out.data))
-
-    return _record(out, (a,), back)
-
-
-def sigmoid(a):
-    # stable in both tails
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = Tensor(out_data.astype(x.dtype))
-
-    def back(g):
-        _accumulate(a, g * out.data * (1.0 - out.data))
 
     return _record(out, (a,), back)
 
@@ -388,10 +336,8 @@ def matmul(a, b):
     out = Tensor(np.matmul(a.data, b.data))
 
     def back(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, ga)
-        _accumulate(b, gb)
+        _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _record(out, (a, b), back)
 
@@ -420,35 +366,28 @@ def transpose(a, axes=None):
     return _record(out, (a,), back)
 
 
+def _spread(g, a, axis, keepdims):
+    """Broadcast a reduction's gradient back over the axes it reduced."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, a.data.shape)
+
+
 def reduce_sum(a, axis=None, keepdims=False):
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def back(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
+        _accumulate(a, _spread(g, a, axis, keepdims))
 
     return _record(out, (a,), back)
 
 
 def reduce_mean(a, axis=None, keepdims=False):
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = (axis,) if np.isscalar(axis) else tuple(axis)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
+    count = a.data.size // max(out.data.size, 1)
 
     def back(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g / count, a.data.shape))
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g / count, a.data.shape))
+        _accumulate(a, _spread(g / count, a, axis, keepdims))
 
     return _record(out, (a,), back)
 
@@ -485,40 +424,106 @@ def put_rows(indices, rows, length):
 def concat(tensors, axis=0):
     tensors = list(tensors)
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def back(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(int(lo), int(hi))
-            _accumulate(t, g[tuple(sl)])
+        for t, part in zip(tensors, np.split(g, offsets, axis=axis)):
+            _accumulate(t, part)
 
     return _record(out, tuple(tensors), back)
 
 
 # ---------------------------------------------------------------------------
-# composites
+# fused layers: one tape node each
+
+def _accumulate_rows(t, g):
+    """Accumulate into a per-feature parameter: each sample sums its rows
+    first, then `_accumulate` adds the samples last to first."""
+    _accumulate(t, g.sum(axis=-2) if g.ndim > 1 else g)
+
+
+def linear(x, w, b):
+    """x @ w + b for x (..., K), w (K, N) and b (N,)."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs (..., K), (K, N) and (N,) operands, got "
+                         f"{tuple(x.shape)}, {tuple(w.shape)} and {tuple(b.shape)}")
+    out = Tensor(np.matmul(x.data, w.data) + b.data)
+
+    def back(g):
+        _accumulate(x, np.matmul(g, w.data.T))
+        _accumulate(w, np.matmul(np.swapaxes(x.data, -1, -2), g))
+        _accumulate_rows(b, g)
+
+    return _record(out, (x, w, b), back)
+
+
+def _softmax_rows(s, axis=-1):
+    """Overwrite s with its row-stable softmax along `axis`; rejects NaN."""
+    row_max = s.max(axis=axis, keepdims=True)
+    if np.isnan(row_max).any():  # max propagates NaN, so this sees every NaN row
+        raise NumericError("softmax received NaN input")
+    s -= row_max
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
+    return s
+
 
 def softmax(a, axis=-1):
     """Row-stable softmax; rejects NaN input."""
-    row_max = a.data.max(axis=axis, keepdims=True)
-    if np.isnan(row_max).any():  # max propagates NaN, so this sees every NaN row
-        raise NumericError("softmax received NaN input")
-    e = exp(sub(a, constant(row_max, like=a)))
-    return div(e, reduce_sum(e, axis=axis, keepdims=True))
+    out = Tensor(_softmax_rows(a.data.copy(), axis))
+
+    def back(g):
+        y = out.data
+        _accumulate(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+    return _record(out, (a,), back)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise ShapeError(f"layer_norm eps must be positive, got {eps}")
-    mu = reduce_mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = reduce_mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, constant(eps, like=x)), -0.5)
-    return add(mul(mul(centered, inv), gamma), beta)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat = centered * inv
+    out = Tensor(xhat * gamma.data + beta.data)
 
+    def back(g):
+        gx = g * gamma.data
+        gx -= gx.mean(axis=-1, keepdims=True) + xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        gx *= inv
+        _accumulate(x, gx)
+        _accumulate_rows(gamma, g * xhat)
+        _accumulate_rows(beta, g)
+
+    return _record(out, (x, gamma, beta), back)
+
+
+def attend(q, kt, v, scale):
+    """softmax(scale * q @ kt) @ v for q (..., L, dh), kt (..., dh, L), v (..., L, dv).
+
+    The scores become probabilities in place, and only those are kept.  The
+    backward pass is FlashAttention's without its tiling: dS = P * (dP - rowsum(dO * O)).
+    """
+    p = np.matmul(q.data, kt.data)
+    p *= scale
+    _softmax_rows(p)
+    out = Tensor(np.matmul(p, v.data))
+
+    def back(g):
+        _accumulate(v, np.matmul(np.swapaxes(p, -1, -2), g))
+        ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        ds -= (g * out.data).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        _accumulate(q, np.matmul(ds, np.swapaxes(kt.data, -1, -2)))
+        _accumulate(kt, np.matmul(np.swapaxes(q.data, -1, -2), ds))
+
+    return _record(out, (q, kt, v), back)
+
+
+# ---------------------------------------------------------------------------
+# patches and losses
 
 def conv_patch(x, kernel):
     """Non-overlapping patch convolution: (..., C, W, H) -> (..., L, D) tokens.
@@ -568,14 +573,12 @@ def l1_loss(pred, target, mask):
     every selected element after broadcasting, so a (W,H) mask against a
     (C,W,H) prediction averages over channels as well.
     """
-    m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-    m = m.astype(pred.data.dtype)
+    m = (mask.data if isinstance(mask, Tensor) else np.asarray(mask)).astype(pred.data.dtype)
     total = float(np.broadcast_to(m, pred.data.shape).sum())
     if total == 0:
         raise ShapeError("l1_loss mask selects no positions")
     diff = abs_(sub(pred, _wrap(target, pred)))
-    masked = mul(diff, constant(m, like=pred))
-    return div(reduce_sum(masked), constant(total, like=pred))
+    return div(reduce_sum(mul(diff, constant(m, like=pred))), constant(total, like=pred))
 
 
 def bce_with_logits(logits, targets):
@@ -587,9 +590,7 @@ def bce_with_logits(logits, targets):
     n = z.size
 
     def back(g):
-        s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                     np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-        _accumulate(logits, g * (s - y) / n)
+        _accumulate(logits, g * (expit(z) - y) / n)
 
     return _record(out, (logits,), back)
 
@@ -599,8 +600,7 @@ def softmax_cross_entropy(logits, labels):
     z = logits.data
     lab = np.asarray(labels, dtype=np.intp)
     shift = z - z.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(shift).sum(axis=1, keepdims=True))
-    logp = shift - logsum
+    logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
     n = z.shape[0]
     out = Tensor(np.asarray(-logp[np.arange(n), lab].mean(), dtype=z.dtype))
 

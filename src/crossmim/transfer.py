@@ -143,11 +143,10 @@ def finetune_forward(params, model_cfg, tcfg, task_sensors, samples):
         tokens = embed(T.constant(stacked, like=like), fused, shared)
         per_token = encode(tokens, encoder_cfg, params)[0]  # (B, L, width)
 
-    head_b = T.reshape(params["head.b"], (1, -1))
     if tcfg.head == "multilabel":
-        out = T.reduce_mean(per_token, axis=1) @ params["head.w"] + head_b  # (B, K)
+        out = T.linear(T.reduce_mean(per_token, axis=1), params["head.w"], params["head.b"])  # (B, K)
     else:
-        dense = per_token @ params["head.w"] + head_b
+        dense = T.linear(per_token, params["head.w"], params["head.b"])
         channels = tcfg.out_channels if tcfg.head == "dense_regression" else tcfg.num_classes
         out = T.unpatchify(dense, model_cfg.patch_size, channels,
                            model_cfg.image_w, model_cfg.image_h)

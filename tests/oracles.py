@@ -61,6 +61,57 @@ def grad_mismatches(analytic, fd, rel_tol, abs_tol):
 
 
 # ---------------------------------------------------------------------------
+# composite layers: forward and chain rule, one composite node at a time
+#
+# These are the compositions the fused tensor primitives replace.  Each
+# takes float64 arrays and the upstream gradient g of the output, and
+# returns the output followed by the gradient of every input.  Gradients of
+# per-feature parameters are summed over every leading axis.
+
+def softmax_composite(a, g):
+    """exp(a - max) / sum(exp(a - max)) over the last axis."""
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    s = e.sum(axis=-1, keepdims=True)
+    y = e / s
+    ge = g / s + (-g * e / (s * s)).sum(axis=-1, keepdims=True)  # div, then sum
+    return y, ge * e  # exp
+
+
+def layer_norm_composite(x, gamma, beta, g, eps=1e-5):
+    """(x - mean) * (var + eps)^-0.5 * gamma + beta over the last axis."""
+    n = x.shape[-1]
+    c = x - x.mean(axis=-1, keepdims=True)
+    var = (c * c).mean(axis=-1, keepdims=True)
+    inv = (var + eps) ** -0.5
+    y = c * inv * gamma + beta
+    gxhat = g * gamma
+    ginv = (gxhat * c).sum(axis=-1, keepdims=True)
+    gvar = ginv * -0.5 * (var + eps) ** -1.5
+    gc = gxhat * inv + gvar * 2.0 * c / n  # through c directly and through var
+    gx = gc - gc.mean(axis=-1, keepdims=True)  # through the mean
+    ggamma = (g * c * inv).reshape(-1, n).sum(axis=0)
+    gbeta = g.reshape(-1, n).sum(axis=0)
+    return y, gx, ggamma, gbeta
+
+
+def linear_composite(x, w, b, g):
+    """x @ w + b with x (..., K), w (K, N), b (N,)."""
+    y = x @ w + b
+    k, n = w.shape
+    gw = x.reshape(-1, k).T @ g.reshape(-1, n)
+    return y, g @ w.T, gw, g.reshape(-1, n).sum(axis=0)
+
+
+def attend_composite(q, kt, v, scale, g):
+    """softmax(scale * q @ kt) @ v, as scores, scaled scores, softmax, product."""
+    p, gs = softmax_composite(scale * (q @ kt), g @ np.swapaxes(v, -1, -2))
+    gs = gs * scale
+    out = p @ v
+    return (out, gs @ np.swapaxes(kt, -1, -2), np.swapaxes(q, -1, -2) @ gs,
+            np.swapaxes(p, -1, -2) @ g)
+
+
+# ---------------------------------------------------------------------------
 # classification metrics
 
 def ap_naive(scores, labels):

@@ -93,6 +93,30 @@ def test_attention_gradients(rng):
     check_op(build, x, wq, bq)
 
 
+def tape_arrays(tape):
+    """Every distinct array the tape keeps alive: node outputs and the arrays
+    and tensors their backward closures capture."""
+    found = {}
+    for out, fn in tape.nodes:
+        held = [out] + [c.cell_contents for c in fn.__closure__ or ()]
+        for item in held:
+            arr = item.data if isinstance(item, T.Tensor) else item
+            if isinstance(arr, np.ndarray):
+                found[id(arr)] = arr
+    return list(found.values())
+
+
+def test_attention_tape_keeps_one_score_sized_array(rng):
+    b, n, d, heads = 2, 7, 8, 2  # L differs from every other axis length
+    p = attn_params(rng, d, dtype=np.float32, grad=True)
+    x = T.Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+    with T.fresh_tape() as tape:
+        attention(x, p, heads)
+        scores = [a for a in tape_arrays(tape) if a.shape[-2:] == (n, n)]
+    assert len(scores) == 1
+    assert scores[0].shape == (b, heads, n, n)
+
+
 def moe_case(rng, n_tokens=12, d=8, experts=4, hidden=16, dtype=np.float32):
     x = rng.normal(size=(n_tokens, d)).astype(dtype)
     gate_w = rng.normal(size=(d, experts)).astype(dtype)

@@ -1,5 +1,7 @@
 """Parameter table construction and the pretraining round loss."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,24 @@ def test_float32_round_tape_holds_no_float64_array():
                      if isinstance(h, np.ndarray) and h.dtype == np.float64]
     assert len(tape) > 0
     assert wide == []
+
+
+def test_criterion_1_loss_records_every_model_primitive():
+    """Acceptance criterion 1 finite-difference checks the pretraining loss
+    of this configuration, so it covers every primitive on its tape.  The
+    primitives it leaves out serve only the transfer heads or operator
+    sugar, and each has its own check in test_tensor.py."""
+    recording = {name for name, fn in vars(T).items()
+                 if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                 and "_record" in fn.__code__.co_names}
+    ds = gen_synthetic(REG, 4, 16, 16, seed=11)
+    mcfg = ModelConfig(width=8, depth=2, heads=2, patch_size=4, image_w=16, image_h=16,
+                       mask_unit=8, moe=True, num_experts=2, ffn_mult=2)
+    batch = MultisensorBatch(per_sensor={0: ds.by_sensor[0][:2], 1: ds.by_sensor[1][:2]},
+                             round_index=0)
+    with T.fresh_tape() as tape:
+        round_loss(init_params(REG, mcfg, 3, dtype=np.float64), mcfg, ds, batch,
+                   stream_rng(1, STREAM_MASK), stream_rng(1, STREAM_CROSS))
+        on_tape = {fn.__qualname__.split(".")[0] for _, fn in tape.nodes}
+    assert {"linear", "attend", "layer_norm", "softmax"} <= on_tape
+    assert recording - on_tape == {"bce_with_logits", "softmax_cross_entropy", "concat", "neg"}

@@ -25,7 +25,7 @@ def main():
                        image_h=16, mask_unit=8, moe=True, num_experts=2,
                        ffn_mult=8, p_cross=0.5)
     tcfg = TrainConfig(seed=13, base_batch=4, base_lr=1e-2, epochs=200,
-                       warmup_epochs=20, warmup_lr=1e-4, p_cross=0.5)
+                       warmup_epochs=20, warmup_lr=1e-4)
 
     trainer = Trainer(dataset, mcfg, tcfg)
     print("step  loss_total  mim(sar)  mim(optical)  lr")

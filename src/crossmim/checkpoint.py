@@ -15,6 +15,7 @@ so a round trip is bit exact.  Everything that is not naturally a tensor
 
 import hashlib
 import json
+import os
 import struct
 import zlib
 
@@ -36,7 +37,9 @@ _CODE_FOR_KIND = {
 
 def save_tensors(path, named):
     """Write an ordered {name: ndarray} mapping; dtypes outside the format
-    are rejected rather than silently converted."""
+    are rejected rather than silently converted.  The bytes go to a temp file
+    beside `path` that then replaces it, so a failed write leaves any
+    previous file at `path` intact."""
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", VERSION)
@@ -55,8 +58,15 @@ def save_tensors(path, named):
             out += struct.pack("<I", dim)
         out += np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
-    with open(path, "wb") as f:
-        f.write(bytes(out))
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(bytes(out))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_tensors(path):

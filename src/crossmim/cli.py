@@ -25,7 +25,7 @@ from .errors import (CheckpointError, CompatibilityError, ConfigError,
 from .metrics import ssi
 from .render import reconstruction_grid, write_png, write_ppm
 from .sensors import gen_synthetic, load_manifest, registry_preset, save_manifest
-from .training import Trainer, TrainConfig, load_pretrained, stream_rng
+from .training import Trainer, TrainConfig, json_safe, load_pretrained, stream_rng
 from .transfer import (TransferConfig, cross_reconstruction_l1, finetune,
                        make_task, reconstruct_records, reconstruction_report,
                        task_metrics)
@@ -73,42 +73,6 @@ def _manifest_path(data_arg):
 
 def _checkpoint_path(arg):
     return os.path.join(arg, "checkpoint-final.msgm") if os.path.isdir(arg) else arg
-
-
-def _train_config(run):
-    return TrainConfig(
-        base_batch=run["train.base_batch"],
-        base_lr=run["train.base_lr"],
-        epochs=run["train.epochs"],
-        warmup_epochs=run["train.warmup_epochs"],
-        warmup_lr=run["train.warmup_lr"],
-        milestones=tuple(run["train.milestones"]),
-        gamma=run["train.gamma"],
-        beta1=run["train.beta1"],
-        beta2=run["train.beta2"],
-        eps=run["train.eps"],
-        weight_decay=run["train.weight_decay"],
-        p_cross=run["train.p_cross"],
-        seed=run["seed"],
-        checkpoint_every=run["train.checkpoint_every"],
-        log_every=run["train.log_every"],
-    )
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _json_safe(obj.tolist())
-    return obj
 
 
 def _fmt_cell(v):
@@ -172,7 +136,7 @@ def cmd_pretrain(args):
     run = _run_config(args)
     _prepare_out(args, run)
     dataset = load_manifest(_manifest_path(args.data))
-    trainer = Trainer(dataset, run.model_config(), _train_config(run),
+    trainer = Trainer(dataset, run.model_config(), run.build(TrainConfig, "train"),
                       log_path=os.path.join(args.out, "metrics.jsonl"),
                       dump_dir=args.out)
     if args.resume:
@@ -239,7 +203,7 @@ def cmd_ablate(args):
             cell = run.with_overrides({"model.moe": moe, "train.p_cross": cross})
             cell_dir = os.path.join(args.out, f"cell-moe{int(moe)}-cross{cross:g}")
             os.makedirs(cell_dir, exist_ok=True)
-            trainer = Trainer(dataset, cell.model_config(), _train_config(cell),
+            trainer = Trainer(dataset, cell.model_config(), cell.build(TrainConfig, "train"),
                               log_path=os.path.join(cell_dir, "metrics.jsonl"),
                               dump_dir=cell_dir)
             try:
@@ -270,7 +234,7 @@ def cmd_ablate(args):
     with open(os.path.join(args.out, "ablation-table.txt"), "w", encoding="utf-8") as f:
         f.write(table)
     with open(os.path.join(args.out, "ablation.json"), "w", encoding="utf-8") as f:
-        json.dump(_json_safe(results), f, indent=2)
+        json.dump(json_safe(results), f, indent=2)
     _write_produced(args.out)
     return 0
 
@@ -286,21 +250,12 @@ def _task_sensor_ids(run, dataset):
     return (registry[0].sensor_id,)
 
 
-def _transfer_config(run):
-    return TransferConfig(
-        mode=run["transfer.mode"],
-        head=run["transfer.head"],
-        frozen_trunk=run["transfer.frozen_trunk"],
-        num_classes=run["transfer.classes"],
-    )
-
-
 def cmd_finetune(args):
     run = _run_config(args)
     _prepare_out(args, run)
     dataset = load_manifest(_manifest_path(args.data))
     mcfg = run.model_config()
-    tcfg = _transfer_config(run)
+    tcfg = run.build(TransferConfig, "transfer")
     task_sensors = _task_sensor_ids(run, dataset)
     samples = make_task(dataset, tcfg, task_sensors)
     pretrained = None
@@ -323,7 +278,7 @@ def cmd_finetune(args):
     ckpt.save_tensors(os.path.join(args.out, "head.msgm"), named)
     summary = {"initial_loss": losses[0], "final_loss": losses[-1], **scores}
     with open(os.path.join(args.out, "finetune-summary.json"), "w", encoding="utf-8") as f:
-        json.dump(_json_safe(summary), f, indent=2)
+        json.dump(json_safe(summary), f, indent=2)
     print(f"task sensors: {list(task_sensors)}  mode: {tcfg.mode}  head: {tcfg.head}")
     print(f"loss: {losses[0]:.6f} -> {losses[-1]:.6f} over {len(losses)} steps")
     for k, val in scores.items():
@@ -356,7 +311,7 @@ def cmd_evaluate(args):
                               for sid, vals in report.items()},
                "cross_l1": cross_l1}
     with open(os.path.join(args.out, "metric-report.json"), "w", encoding="utf-8") as f:
-        json.dump(_json_safe(payload), f, indent=2)
+        json.dump(json_safe(payload), f, indent=2)
     with open(os.path.join(args.out, "metric-table.txt"), "w", encoding="utf-8") as f:
         f.write(table)
     _write_produced(args.out)
@@ -399,7 +354,7 @@ def cmd_reconstruct(args):
         print(f"wrote {base}.png")
     if stats:
         with open(base + "-stats.json", "w", encoding="utf-8") as f:
-            json.dump(_json_safe(stats), f, indent=2)
+            json.dump(json_safe(stats), f, indent=2)
         print(f"wrote {base}-stats.json")
     _write_produced(args.out)
     return 0

@@ -17,6 +17,11 @@ class ModelConfig:
     """Architecture plus masking geometry; see `encoder_config` for the
     trunk view of the same numbers."""
 
+    # the fields that shape the network; a checkpoint pins these and only
+    # these, so the objective settings may change at load time
+    ARCHITECTURE = ("width", "depth", "heads", "patch_size", "image_w", "image_h",
+                    "moe", "num_experts", "ffn_mult")
+
     width: int = 32
     depth: int = 4
     heads: int = 4
@@ -33,6 +38,10 @@ class ModelConfig:
     p_cross: float = 0.5
 
     def __post_init__(self):
+        for name in ("width", "heads", "patch_size", "mask_unit", "image_w", "image_h",
+                     "num_experts", "ffn_mult"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_w % self.mask_unit or self.image_h % self.mask_unit:
             raise ConfigError(
                 f"image {self.image_w}x{self.image_h} not divisible by mask unit {self.mask_unit}"
@@ -101,6 +110,13 @@ def _fmt(value):
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return repr(value) if isinstance(value, float) else str(value)
+
+
+def _parse_value(key, raw, where=""):
+    try:
+        return _PARSERS[SCHEMA[key][0]](raw)
+    except ValueError as e:
+        raise ConfigError(f"{where}bad value for {key}: {e}") from e
 
 
 # key -> (type name, default)
@@ -173,6 +189,15 @@ PAPER_PRESET = {
     "train.p_cross": 0.5,
 }
 
+# dataclass fields whose schema key is not `<section>.<field>`
+_FIELD_KEYS = {
+    "image_w": "data.width",
+    "image_h": "data.height",
+    "p_cross": "train.p_cross",
+    "seed": "seed",
+    "num_classes": "transfer.classes",
+}
+
 
 class RunConfig:
     """Typed view over the flat key space, with schema defaults filled in."""
@@ -195,30 +220,26 @@ class RunConfig:
         for k, raw in overrides.items():
             if k not in SCHEMA:
                 raise ConfigError(f"unknown config key {k!r}")
-            merged[k] = _PARSERS[SCHEMA[k][0]](raw) if isinstance(raw, str) else raw
+            merged[k] = _parse_value(k, raw) if isinstance(raw, str) else raw
         return RunConfig(merged)
 
     def to_text(self):
         lines = [f"{k} = {_fmt(self._values[k])}" for k in sorted(self._values)]
         return "\n".join(lines) + "\n"
 
+    def build(self, cls, section):
+        """The config dataclass `cls` with every field that has a schema key
+        (`<section>.<field>` unless renamed) read from this run; fields
+        without a key keep their dataclass defaults."""
+        values = {}
+        for f in fields(cls):
+            key = _FIELD_KEYS.get(f.name, f"{section}.{f.name}")
+            if key in SCHEMA:
+                values[f.name] = self._values[key]
+        return cls(**values)
+
     def model_config(self):
-        return ModelConfig(
-            width=self["model.width"],
-            depth=self["model.depth"],
-            heads=self["model.heads"],
-            patch_size=self["model.patch_size"],
-            image_w=self["data.width"],
-            image_h=self["data.height"],
-            mask_unit=self["model.mask_unit"],
-            mask_ratio=self["model.mask_ratio"],
-            moe=self["model.moe"],
-            num_experts=self["model.num_experts"],
-            capacity_factor=self["model.capacity_factor"],
-            aux_weight=self["model.aux_weight"],
-            ffn_mult=self["model.ffn_mult"],
-            p_cross=self["train.p_cross"],
-        )
+        return self.build(ModelConfig, "model")
 
 
 def parse_config_text(text):
@@ -235,12 +256,7 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            values[key] = _PARSERS[SCHEMA[key][0]](val)
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
+        values[key] = _parse_value(key, val, f"line {lineno}: ")
     return RunConfig(values)
 
 

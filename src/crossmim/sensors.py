@@ -275,6 +275,8 @@ def gen_synthetic(registry, n_per_sensor, width, height, seed):
     sensor (an int applies to all).  Paired sensors are generated jointly,
     the lower-id sensor acting as the source; both directions of a pair get
     their own source-drawn samples so each sensor reaches its quota."""
+    if width < 1 or height < 1:
+        raise ConfigError(f"image size must be >= 1, got {width}x{height}")
     if isinstance(n_per_sensor, int):
         n_per_sensor = {s.sensor_id: n_per_sensor for s in registry}
     for s in registry:

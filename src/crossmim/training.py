@@ -49,7 +49,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.05
-    p_cross: float = 0.5
     seed: int = 0
     checkpoint_every: int = 1  # epochs
     log_every: int = 1  # steps
@@ -59,8 +58,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.base_batch < 1:
             raise ConfigError(f"base_batch must be >= 1, got {self.base_batch}")
-        if not 0.0 <= self.p_cross <= 1.0:
-            raise ConfigError(f"p_cross must be in [0, 1], got {self.p_cross}")
         if self.warmup_epochs > self.epochs:
             raise ConfigError(
                 f"warmup_epochs {self.warmup_epochs} exceeds epochs {self.epochs}"
@@ -253,7 +250,7 @@ class Trainer:
             with T.fresh_tape():
                 total, stats, reports = round_loss(
                     state.params, self.model_cfg, self.dataset, batch,
-                    state.mask_rng, state.cross_rng, p_cross=self.cfg.p_cross,
+                    state.mask_rng, state.cross_rng,
                 )
                 T.backward(total)
         except NumericError as e:
@@ -301,7 +298,7 @@ class Trainer:
         if self.dump_dir:
             path = os.path.join(self.dump_dir, f"diagnostic-step{self.state.step}.json")
             with open(path, "w", encoding="utf-8") as f:
-                json.dump({"error": str(err), "diagnostics": _jsonable(diag)}, f, indent=2)
+                json.dump({"error": str(err), "diagnostics": json_safe(diag)}, f, indent=2)
             diag["dump_path"] = path
         return NumericError(str(err), diagnostics=diag)
 
@@ -327,20 +324,8 @@ class Trainer:
 
     def resume(self, path):
         named = ckpt.load_tensors(path)
-        expected = ckpt.registry_digest(self.dataset.registry)
-        stored = named.get("meta.registry")
-        if stored is None or not np.array_equal(stored, expected):
-            raise CompatibilityError("checkpoint was trained against a different sensor registry")
-        stored_cfg = ckpt.u8_to_json(named["meta.model_config"])
-        if stored_cfg != self.model_cfg.to_dict():
-            raise CompatibilityError("checkpoint model configuration does not match this run")
+        check_compatible(named, self.dataset.registry, self.model_cfg, self.state.params)
         for k, p in self.state.params.items():
-            if k not in named:
-                raise CompatibilityError(f"checkpoint is missing parameter {k!r}")
-            if named[k].shape != p.data.shape:
-                raise CompatibilityError(
-                    f"checkpoint parameter {k!r} has shape {named[k].shape}, expected {p.data.shape}"
-                )
             p.data = named[k].astype(p.data.dtype, copy=True)
             self.state.m[k] = named[f"opt.m.{k}"].astype(p.data.dtype, copy=True)
             self.state.v[k] = named[f"opt.v.{k}"].astype(p.data.dtype, copy=True)
@@ -355,19 +340,33 @@ class Trainer:
             self.samplers[sid].pos = int(named["sampler.pos"][i])
 
 
-def load_pretrained(path, registry, model_cfg, dtype=np.float32):
-    """Parameters-only load for transfer, evaluation, and rendering."""
-    named = ckpt.load_tensors(path)
-    expected = ckpt.registry_digest(registry)
-    if "meta.registry" not in named or not np.array_equal(named["meta.registry"], expected):
+def check_compatible(named, registry, model_cfg, params):
+    """Raise CompatibilityError unless the checkpoint tensors `named` were
+    trained on `registry` with the architecture of `model_cfg` and hold every
+    entry of `params` at its shape.  The objective settings stored beside the
+    architecture (masking, p_cross, MoE capacity and loss weight) may differ."""
+    stored = named.get("meta.registry")
+    if stored is None or not np.array_equal(stored, ckpt.registry_digest(registry)):
         raise CompatibilityError("checkpoint was trained against a different sensor registry")
-    stored_cfg = ckpt.u8_to_json(named["meta.model_config"])
-    if stored_cfg != model_cfg.to_dict():
+    raw_cfg = named.get("meta.model_config")
+    stored_cfg = {} if raw_cfg is None else ckpt.u8_to_json(raw_cfg)
+    if any(stored_cfg.get(k) != getattr(model_cfg, k) for k in model_cfg.ARCHITECTURE):
         raise CompatibilityError("checkpoint model configuration does not match this run")
-    params = init_params(registry, model_cfg, seed=0, dtype=dtype)
     for k, p in params.items():
         if k not in named:
             raise CompatibilityError(f"checkpoint is missing parameter {k!r}")
+        if named[k].shape != p.data.shape:
+            raise CompatibilityError(
+                f"checkpoint parameter {k!r} has shape {named[k].shape}, expected {p.data.shape}"
+            )
+
+
+def load_pretrained(path, registry, model_cfg, dtype=np.float32):
+    """Parameters-only load for transfer, evaluation, and rendering."""
+    named = ckpt.load_tensors(path)
+    params = init_params(registry, model_cfg, seed=0, dtype=dtype)
+    check_compatible(named, registry, model_cfg, params)
+    for k, p in params.items():
         p.data = named[k].astype(p.data.dtype, copy=True)
     return params
 
@@ -384,15 +383,19 @@ def _routing_summary(reports):
     return {"dropped": int(dropped), "expert_tokens": [int(v) for v in totals]}
 
 
-def _jsonable(obj):
+def json_safe(obj):
+    """`obj` with NumPy scalars and arrays as Python values, tuples as lists,
+    keys as strings and infinities as the string "inf", for `json.dump`."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf"
+    if isinstance(obj, np.floating):
         return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return json_safe(obj.tolist())
     return obj

@@ -108,7 +108,7 @@ def test_criterion_2_learning_signal():
     dataset = gen_synthetic(pair_registry(), 4, 16, 16, seed=21)
     tcfg = TrainConfig(seed=13, base_batch=4, base_lr=1e-2, epochs=200,
                        warmup_epochs=20, warmup_lr=1e-4, milestones=(),
-                       weight_decay=0.05, p_cross=0.5)
+                       weight_decay=0.05)
     trainer = Trainer(dataset, _signal_model(), tcfg)
     mim = []
     for _ in range(200):
@@ -126,7 +126,7 @@ def test_criterion_3_cross_sensor_signal():
     for seed in (1, 2, 3):
         tcfg = TrainConfig(seed=seed, base_batch=4, base_lr=1e-2, epochs=500,
                            warmup_epochs=20, warmup_lr=1e-4, milestones=(),
-                           weight_decay=0.05, p_cross=0.5)
+                           weight_decay=0.05)
         trainer = Trainer(dataset, mcfg, tcfg)
         before = cross_reconstruction_l1(trainer.state.params, mcfg, dataset,
                                          records, stream_rng(seed, STREAM_EVAL))
@@ -291,7 +291,7 @@ def test_criterion_7_single_sensor_reduction():
                        image_h=16, mask_unit=8, moe=False, p_cross=0.0)
     tcfg = TrainConfig(seed=3, base_batch=4, base_lr=1e-3, epochs=6,
                        warmup_epochs=1, warmup_lr=1e-5, milestones=(3,),
-                       weight_decay=0.05, p_cross=0.0)
+                       weight_decay=0.05)
     steps_per_epoch = 2  # 8 samples at batch 4
     n_steps = tcfg.epochs * steps_per_epoch
 
@@ -414,8 +414,7 @@ def test_criterion_9_persistence(tmp_path):
 
     def tcfg():
         return TrainConfig(seed=3, base_batch=4, base_lr=1e-3, epochs=10,
-                           warmup_epochs=1, warmup_lr=1e-5, milestones=(3,),
-                           p_cross=0.5)
+                           warmup_epochs=1, warmup_lr=1e-5, milestones=(3,))
 
     solo = Trainer(dataset, mcfg, tcfg())
     solo_losses = [solo.train_step()["loss_total"] for _ in range(10)]

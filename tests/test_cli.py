@@ -241,6 +241,30 @@ def test_config_error_exit_codes(ws, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    "data.n_per_sensor=abc", "train.base_lr=abc", "transfer.classes=x",
+])
+def test_unparsable_value_exits_2(tmp_path, capsys, setting):
+    assert main(["gen-data", "--out", str(tmp_path / "x"), "--set", setting]) == 2
+    assert "bad value for" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,setting", [
+    ("pretrain", "model.patch_size=0"),
+    ("pretrain", "model.width=0"),
+    ("pretrain", "data.width=-8"),
+    ("gen-data", "data.width=-8"),
+    ("gen-data", "data.width=0"),
+])
+def test_non_positive_size_exits_2(ws, tmp_path, capsys, command, setting):
+    args = [command, "--config", ws["cfg"], "--out", str(tmp_path / "x"),
+            "--set", setting]
+    if command == "pretrain":
+        args += ["--data", ws["data"]]
+    assert main(args) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_io_error_exit_codes(ws, tmp_path, capsys):
     out = str(tmp_path / "x")
     assert main(["pretrain", "--config", ws["cfg"],
@@ -284,6 +308,21 @@ def test_compat_error_exit_codes(ws, tmp_path, capsys):
                  "--checkpoint", ws["pre"], "--out", out])
     assert code == 5
     assert "incompatible checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,setting", [
+    ("evaluate", "model.mask_ratio=0.3"),
+    ("evaluate", "train.p_cross=0"),
+    ("evaluate", "model.capacity_factor=2"),
+    ("evaluate", "model.aux_weight=0"),
+    ("finetune", "train.p_cross=0"),
+    ("pretrain", "train.p_cross=0.2"),
+])
+def test_checkpoint_pins_only_architecture(ws, tmp_path, command, setting):
+    flag = "--resume" if command == "pretrain" else "--checkpoint"
+    assert main([command, "--config", ws["cfg"], "--data", ws["data"],
+                 flag, ws["pre"], "--out", str(tmp_path / "x"),
+                 "--set", setting]) == 0
 
 
 def test_argparse_failures_map_to_exit_2(capsys):

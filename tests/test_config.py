@@ -5,6 +5,8 @@ import pytest
 from crossmim.config import (ModelConfig, RunConfig, desk_config, load_config,
                              paper_config, parse_config_text)
 from crossmim.errors import ConfigError
+from crossmim.training import TrainConfig
+from crossmim.transfer import TransferConfig
 
 
 def test_model_config_validation():
@@ -92,12 +94,23 @@ def test_model_config_view_pulls_from_flat_keys():
     run = desk_config().with_overrides({
         "model.width": "24", "data.width": "16", "data.height": "48",
         "train.p_cross": "0.2", "model.heads": "3",
+        "seed": "5", "train.epochs": "7", "transfer.classes": "3",
     })
     mcfg = run.model_config()
     assert mcfg.width == 24
     assert (mcfg.image_w, mcfg.image_h) == (16, 48)
     assert mcfg.p_cross == 0.2
     assert mcfg.heads == 3
+    tcfg = run.build(TrainConfig, "train")
+    assert (tcfg.seed, tcfg.epochs) == (5, 7)
+    assert run.build(TransferConfig, "transfer").num_classes == 3
+
+
+def test_schema_defaults_match_dataclass_defaults():
+    run = desk_config()
+    assert run.model_config() == ModelConfig()
+    assert run.build(TrainConfig, "train") == TrainConfig()
+    assert run.build(TransferConfig, "transfer") == TransferConfig()
 
 
 def test_presets():

@@ -23,8 +23,7 @@ MCFG = ModelConfig(width=16, depth=2, heads=2, patch_size=4, image_w=16,
                    image_h=16, mask_unit=8, mask_ratio=0.6, moe=True,
                    num_experts=2, ffn_mult=2, p_cross=0.5)
 TCFG = TrainConfig(seed=3, base_batch=2, base_lr=1e-3, epochs=2,
-                   warmup_epochs=1, warmup_lr=1e-5, milestones=(1,),
-                   p_cross=0.5)
+                   warmup_epochs=1, warmup_lr=1e-5, milestones=(1,))
 
 
 def make_trainer(tmp=None, n=4, **overrides):
@@ -56,8 +55,6 @@ def test_stream_rng_deterministic_and_independent():
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(base_batch=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(p_cross=1.5)
     with pytest.raises(ConfigError):
         TrainConfig(warmup_epochs=3, epochs=2)
 
@@ -271,9 +268,13 @@ def test_resume_rejects_different_model_config(tmp_path):
     path = str(tmp_path / "ckpt.msgm")
     make_trainer().save(path)
     ds = gen_synthetic(pair_registry(), 4, 16, 16, seed=7)
-    other = Trainer(ds, ModelConfig(**{**MCFG.to_dict(), "mask_ratio": 0.5}), TCFG)
+    # more heads keep every parameter shape, so only the architecture check sees it
+    other = Trainer(ds, ModelConfig(**{**MCFG.to_dict(), "heads": 4}), TCFG)
     with pytest.raises(CompatibilityError, match="configuration"):
         other.resume(path)
+    # objective settings are not pinned by the checkpoint
+    Trainer(ds, ModelConfig(**{**MCFG.to_dict(), "mask_ratio": 0.5, "p_cross": 0.0}),
+            TCFG).resume(path)
 
 
 def test_resume_rejects_missing_parameter(tmp_path):
@@ -288,7 +289,11 @@ def test_resume_rejects_missing_parameter(tmp_path):
         make_trainer().resume(path)
 
 
-def test_resume_rejects_shape_mismatch(tmp_path):
+@pytest.mark.parametrize("load", [
+    lambda path: make_trainer().resume(path),
+    lambda path: load_pretrained(path, pair_registry(), MCFG),
+], ids=["resume", "load_pretrained"])
+def test_resume_rejects_shape_mismatch(tmp_path, load):
     path = str(tmp_path / "ckpt.msgm")
     tr = make_trainer()
     tr.save(path)
@@ -296,7 +301,7 @@ def test_resume_rejects_shape_mismatch(tmp_path):
     named["shared.mask_token"] = np.zeros(7, dtype=np.float32)
     ckpt.save_tensors(path, named)
     with pytest.raises(CompatibilityError, match="shape"):
-        make_trainer().resume(path)
+        load(path)
 
 
 def test_load_pretrained_returns_saved_parameters(tmp_path):
@@ -349,6 +354,35 @@ def test_checkpoint_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(CheckpointError, match="dtype"):
         ckpt.save_tensors(str(tmp_path / "t.msgm"),
                           {"x": np.zeros(2, dtype=np.float16)})
+
+
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "checkpoint-final.msgm")
+    good = {"x": np.arange(6, dtype=np.float32)}
+    ckpt.save_tensors(path, good)
+    real_open = open
+
+    class TornFile:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(ckpt, "open", lambda p, mode: TornFile(real_open(p, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        ckpt.save_tensors(path, {"x": np.zeros(64, dtype=np.float32)})
+    monkeypatch.undo()
+    np.testing.assert_array_equal(ckpt.load_tensors(path)["x"], good["x"])
+    assert os.listdir(tmp_path) == ["checkpoint-final.msgm"]
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

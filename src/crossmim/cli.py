@@ -264,9 +264,8 @@ def cmd_finetune(args):
                                      dataset.registry, mcfg)
     params, losses = finetune(
         dataset.registry, mcfg, tcfg, task_sensors, samples, pretrained,
-        steps=run["transfer.steps"], lr=run["transfer.lr"],
-        batch_size=run["transfer.batch"], seed=run["seed"],
-        log_path=os.path.join(args.out, "finetune-log.jsonl"),
+        steps=tcfg.steps, lr=tcfg.lr, batch_size=tcfg.batch, seed=run["seed"],
+        log_path=os.path.join(args.out, "finetune-log.jsonl"), dump_dir=args.out,
     )
     scores = task_metrics(params, mcfg, tcfg, task_sensors, samples)
     named = {k: p.data for k, p in params.items()}

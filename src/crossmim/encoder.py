@@ -68,15 +68,6 @@ class RoutingReport:
     dropped: int
     aux_loss: float
 
-    def as_record(self):
-        return {
-            "block": self.block_index,
-            "counts": list(self.expert_counts),
-            "mean_gate_prob": [round(p, 6) for p in self.mean_gate_prob],
-            "dropped": self.dropped,
-            "aux_loss": self.aux_loss,
-        }
-
 
 class BatchRouting(tuple):
     """The RoutingReports of one MoE layer, one per sample of the batch.

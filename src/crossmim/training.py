@@ -1,10 +1,13 @@
-"""Pretraining loop: heterogeneous batching, AdamW, schedule, persistence.
+"""The one training loop, plus AdamW, the schedule and persistence.
 
-One optimization round visits every sensor once (ascending sensor id),
-sums the per-sensor losses, and applies a single optimizer update.  Batch
-sizes are proportional to per-sensor dataset sizes; the induced learning
-rates are realized as per-parameter-group scales on sensor-owned modules
-(embedder and decoder), while shared trunk parameters use the base rate.
+`Trainer` owns the step machinery; a caller supplies the loss, samplers
+and per-sensor lr scales.  Pretraining visits every sensor once per round
+(ascending sensor id), sums the per-sensor losses, and applies a single
+optimizer update.  Batch sizes are proportional to per-sensor dataset
+sizes; the induced learning rates are realized as per-parameter-group
+scales on sensor-owned modules (embedder and decoder), while shared trunk
+parameters use the base rate.  Fine-tuning (`transfer.finetune`) supplies
+the task loss, one sampler over the task samples and flat scales.
 
 All randomness flows through named streams seeded from the run seed, so a
 resumed run continues the exact trajectory of an uninterrupted one.
@@ -58,6 +61,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.base_batch < 1:
             raise ConfigError(f"base_batch must be >= 1, got {self.base_batch}")
+        # every comparison with NaN is False, so NaN fails each range
+        for names, in_range, want in (
+            (("base_lr", "gamma", "eps"), lambda x: 0 < x < math.inf, "finite and > 0"),
+            (("warmup_lr", "weight_decay"), lambda x: 0 <= x < math.inf, "finite and >= 0"),
+            (("beta1", "beta2"), lambda x: 0 <= x < 1, "in [0, 1)"),
+        ):
+            for name in names:
+                if not in_range(getattr(self, name)):
+                    raise ConfigError(f"{name} must be {want}, got {getattr(self, name)}")
         if self.warmup_epochs > self.epochs:
             raise ConfigError(
                 f"warmup_epochs {self.warmup_epochs} exceeds epochs {self.epochs}"
@@ -147,19 +159,21 @@ def adamw_step(params, m, v, step, base_lr, lr_mult, cfg, lr_scales):
 
 
 class SensorSampler:
-    """Cycling sampler over one sensor's records with a fresh functional
-    shuffle per cycle, so position + cycle fully determine the stream."""
+    """Cycling sampler over one sensor's records (or, on STREAM_TASK, the
+    task samples) with a fresh functional shuffle per cycle, so position +
+    cycle fully determine the stream."""
 
-    def __init__(self, records, batch_size, seed, sensor_id):
+    def __init__(self, records, batch_size, seed, sensor_id, stream=STREAM_DATA):
         self.records = records
         self.batch_size = batch_size
         self.seed = seed
         self.sensor_id = sensor_id
+        self.stream = stream
         self.cycle = 0
         self.pos = 0
 
     def _order(self):
-        rng = stream_rng(self.seed, STREAM_DATA, self.sensor_id, self.cycle)
+        rng = stream_rng(self.seed, self.stream, self.sensor_id, self.cycle)
         return rng.permutation(len(self.records))
 
     def next_batch(self):
@@ -176,47 +190,75 @@ class SensorSampler:
 
 
 class TrainState:
-    """Everything that must persist for bit-exact resumption."""
+    """Everything but sampler positions that bit-exact resumption needs;
+    moments exist for trainable parameters, RNGs only in pretraining."""
 
-    def __init__(self, params, m, v, step, mask_rng, cross_rng):
+    def __init__(self, params, mask_rng=None, cross_rng=None):
         self.params = params
-        self.m = m
-        self.v = v
-        self.step = step
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items() if p.requires_grad}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items() if p.requires_grad}
+        self.step = 0
         self.mask_rng = mask_rng
         self.cross_rng = cross_rng
         self.history = []
 
 
-def init_state(registry, model_cfg, seed, dtype=np.float32):
-    params = init_params(registry, model_cfg, seed, dtype=dtype)
-    m = {k: np.zeros_like(p.data) for k, p in params.items()}
-    v = {k: np.zeros_like(p.data) for k, p in params.items()}
-    return TrainState(
-        params, m, v, step=0,
-        mask_rng=stream_rng(seed, STREAM_MASK),
-        cross_rng=stream_rng(seed, STREAM_CROSS),
-    )
-
-
 class Trainer:
+    """A step draws a batch from every sampler, evaluates the loss on a
+    fresh tape, checks that it is finite, runs backward, and applies AdamW
+    to the parameters that require grad; a NumericError on the way writes
+    a diagnostic dump.  Each step logs step, epoch, lr, loss_total and the
+    loss's stats."""
+
     def __init__(self, dataset, model_cfg, train_cfg, log_path=None, dump_dir=None,
                  dtype=np.float32):
+        """Pretraining on every sensor of `dataset`."""
         self.dataset = dataset
         self.model_cfg = model_cfg
-        self.cfg = train_cfg
-        self.log_path = log_path
-        self.dump_dir = dump_dir
         sizes = {sid: len(recs) for sid, recs in dataset.by_sensor.items()}
         self.schedule = make_schedule(sizes, train_cfg.base_batch,
                                       train_cfg.batch_overrides, train_cfg.lr_overrides)
-        self.steps_per_epoch = next(iter(self.schedule.values())).steps_per_epoch
-        self.samplers = {
-            sid: SensorSampler(dataset.by_sensor[sid], entry.batch_size,
-                               train_cfg.seed, sid)
-            for sid, entry in self.schedule.items()
-        }
-        self.state = init_state(dataset.registry, model_cfg, train_cfg.seed, dtype=dtype)
+        seed = train_cfg.seed
+        state = TrainState(init_params(dataset.registry, model_cfg, seed, dtype=dtype),
+                           mask_rng=stream_rng(seed, STREAM_MASK),
+                           cross_rng=stream_rng(seed, STREAM_CROSS))
+
+        def loss(params, per_sensor):
+            total, stats, reports = round_loss(
+                params, model_cfg, dataset, MultisensorBatch(per_sensor, state.step),
+                state.mask_rng, state.cross_rng)
+            sensors = {str(k): val for k, val in stats["sensors"].items()}
+            return total, {**stats, "sensors": sensors, "routing": _routing_summary(reports)}
+
+        samplers = {sid: SensorSampler(dataset.by_sensor[sid], entry.batch_size, seed, sid)
+                    for sid, entry in self.schedule.items()}
+        lr_scales = {sid: entry.lr_scale for sid, entry in self.schedule.items()}
+        steps_per_epoch = next(iter(self.schedule.values())).steps_per_epoch
+        self._bind(loss, samplers, lr_scales, train_cfg, state, steps_per_epoch,
+                   log_path, dump_dir)
+
+    @classmethod
+    def for_loss(cls, loss, samplers, lr_scales, train_cfg, params, steps_per_epoch,
+                 log_path=None, dump_dir=None):
+        """A trainer of `params` on `loss(params, batch) -> (loss, stats)`,
+        where `batch` maps each sampler's key to its next batch.  It builds
+        no pretraining state, so it cannot save or resume."""
+        trainer = cls.__new__(cls)
+        trainer._bind(loss, samplers, lr_scales, train_cfg, TrainState(params),
+                      steps_per_epoch, log_path, dump_dir)
+        return trainer
+
+    def _bind(self, loss, samplers, lr_scales, train_cfg, state, steps_per_epoch,
+              log_path, dump_dir):
+        self.loss = loss
+        self.samplers = samplers
+        self.lr_scales = lr_scales
+        self.cfg = train_cfg
+        self.state = state
+        self.trainable = {k: p for k, p in state.params.items() if p.requires_grad}
+        self.steps_per_epoch = steps_per_epoch
+        self.log_path = log_path
+        self.dump_dir = dump_dir
         self._log_file = None
 
     # -- logging -----------------------------------------------------------
@@ -239,8 +281,7 @@ class Trainer:
         return self.state.step // self.steps_per_epoch
 
     def next_round(self):
-        per_sensor = {sid: self.samplers[sid].next_batch() for sid in sorted(self.samplers)}
-        return MultisensorBatch(per_sensor=per_sensor, round_index=self.state.step)
+        return {key: self.samplers[key].next_batch() for key in sorted(self.samplers)}
 
     def train_step(self):
         state = self.state
@@ -248,27 +289,22 @@ class Trainer:
         lr_mult = lr_at(state.step, self.cfg, self.steps_per_epoch)
         try:
             with T.fresh_tape():
-                total, stats, reports = round_loss(
-                    state.params, self.model_cfg, self.dataset, batch,
-                    state.mask_rng, state.cross_rng,
-                )
-                T.backward(total)
+                loss, stats = self.loss(state.params, batch)
+                if not np.isfinite(loss.data):
+                    raise NumericError("non-finite loss", diagnostics={"stats": stats})
+                T.backward(loss)
         except NumericError as e:
             raise self._dump_and_wrap(e, batch) from e
-        lr_scales = {sid: entry.lr_scale for sid, entry in self.schedule.items()}
-        adamw_step(state.params, state.m, state.v, state.step,
-                   self.cfg.base_lr, lr_mult, self.cfg, lr_scales)
+        adamw_step(self.trainable, state.m, state.v, state.step,
+                   self.cfg.base_lr, lr_mult, self.cfg, self.lr_scales)
         metrics = {
             "step": state.step,
             "epoch": self.epoch,
             "lr": self.cfg.base_lr * lr_mult,
-            "loss_total": stats["loss_total"],
-            "sensors": {str(k): val for k, val in stats["sensors"].items()},
-            "cross_samples": stats["cross_samples"],
-            "self_samples": stats["self_samples"],
-            "routing": _routing_summary(reports),
+            **stats,
+            "loss_total": float(loss.data),
         }
-        state.history.append(stats["loss_total"])
+        state.history.append(metrics["loss_total"])
         state.step += 1
         if state.step % max(1, self.cfg.log_every) == 0:
             self._log(metrics)
@@ -290,11 +326,8 @@ class Trainer:
         return last
 
     def _dump_and_wrap(self, err, batch):
-        diag = dict(err.diagnostics)
-        diag.update({
-            "step": self.state.step,
-            "round_sensors": {str(k): len(val) for k, val in batch.per_sensor.items()},
-        })
+        diag = {**err.diagnostics, "step": self.state.step,
+                "round_sensors": {str(k): len(val) for k, val in batch.items()}}
         if self.dump_dir:
             path = os.path.join(self.dump_dir, f"diagnostic-step{self.state.step}.json")
             with open(path, "w", encoding="utf-8") as f:
@@ -304,13 +337,9 @@ class Trainer:
 
     # -- persistence ---------------------------------------------------------
     def save(self, path):
-        named = {}
-        for k, p in self.state.params.items():
-            named[k] = p.data
-        for k, arr in self.state.m.items():
-            named[f"opt.m.{k}"] = arr
-        for k, arr in self.state.v.items():
-            named[f"opt.v.{k}"] = arr
+        named = {k: p.data for k, p in self.state.params.items()}
+        named.update({f"opt.m.{k}": arr for k, arr in self.state.m.items()})
+        named.update({f"opt.v.{k}": arr for k, arr in self.state.v.items()})
         named["meta.step"] = np.asarray(self.state.step, dtype=np.int64)
         named["meta.registry"] = ckpt.registry_digest(self.dataset.registry)
         named["meta.model_config"] = ckpt.json_to_u8(self.model_cfg.to_dict())

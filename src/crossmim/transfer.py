@@ -14,6 +14,7 @@ classifier over pooled features, or dense per-token projections that
 pixel-shuffle back to image layout for regression / segmentation.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,9 @@ from .embedder import embed, stack_embedders_for_transfer, SensorEmbedder
 from .encoder import encode
 from .errors import ConfigError, ShapeError
 from .masking import draw_mask, to_pixel_mask, to_token_mask
-from .metrics import mae, mean_iou, psnr, sam_degrees, ssim
-from .model import embedder_of, param_rng, reconstruct_sample, shared_tokens, INIT_STD
+from .metrics import mae, map_score, mean_iou, psnr, sam_degrees, ssim
+from .model import INIT_STD, embedder_of, init_params, param_rng, reconstruct_sample, shared_tokens
+from .training import STREAM_TASK, SensorSampler, TrainConfig, Trainer
 
 MODES = ("shared_encoder_concat", "channel_stack")
 HEADS = ("multilabel", "dense_regression", "dense_classification")
@@ -38,8 +40,14 @@ class TransferConfig:
     task_sensors: tuple = ()
     num_classes: int = 4
     out_channels: int = 1
+    steps: int = 100
+    lr: float = 1e-3
+    batch: int = 8
 
     def __post_init__(self):
+        for name in ("steps", "batch"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"transfer.{name} must be >= 1, got {getattr(self, name)}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown transfer mode {self.mode!r}, expected one of {MODES}")
         if self.head not in HEADS:
@@ -81,8 +89,6 @@ def init_transfer_params(pretrained, registry, model_cfg, tcfg, task_sensors, se
     initialized.
     """
     if pretrained is None:
-        from .model import init_params
-
         pretrained = init_params(registry, model_cfg, seed, dtype=dtype)
     params = {}
     wanted = ["shared.mask_token", "shared.pos_embed"]
@@ -237,8 +243,6 @@ def make_task(dataset, tcfg, task_sensors):
 
 def task_metrics(params, model_cfg, tcfg, task_sensors, samples):
     """Task-appropriate scores of the current head on a sample list."""
-    from .metrics import map_score  # local to keep module load light
-
     with T.no_grad():
         outs = finetune_forward(params, model_cfg, tcfg, task_sensors, samples).data
     if tcfg.head == "multilabel":
@@ -251,49 +255,29 @@ def task_metrics(params, model_cfg, tcfg, task_sensors, samples):
 
 
 def finetune(registry, model_cfg, tcfg, task_sensors, samples, pretrained,
-             steps, lr, batch_size, seed, log_path=None):
-    """Fine-tune (or train from scratch when `pretrained` is None).
+             steps, lr, batch_size, seed, log_path=None, dump_dir=None):
+    """Fine-tune (or train from scratch when `pretrained` is None) on the
+    pretraining loop: AdamW at the flat rate `lr` over the parameters that
+    require grad, on batches of `samples` drawn from the task stream.
 
     Returns (params, losses): the adapted parameter table and the per-step
-    task loss trajectory.  Optimization mirrors pretraining's AdamW with a
-    flat learning rate.
+    task loss trajectory.
     """
-    import json
-
-    from .training import TrainConfig, adamw_step, stream_rng, STREAM_TASK
-
+    cfg = TrainConfig(base_lr=lr, warmup_epochs=0)
     params = init_transfer_params(pretrained, registry, model_cfg, tcfg,
                                   task_sensors, seed)
-    trainable = {k: p for k, p in params.items() if p.requires_grad}
-    m = {k: np.zeros_like(p.data) for k, p in trainable.items()}
-    v = {k: np.zeros_like(p.data) for k, p in trainable.items()}
-    opt_cfg = TrainConfig(base_lr=lr, epochs=1, warmup_epochs=0, seed=seed)
-    scales = {s.sensor_id: 1.0 for s in registry}
-    rng = stream_rng(seed, STREAM_TASK)
-    order = rng.permutation(len(samples))
-    cursor = 0
-    losses = []
-    log = open(log_path, "a", encoding="utf-8") if log_path else None
+    batch = min(batch_size, len(samples))
+    trainer = Trainer.for_loss(
+        lambda p, drawn: (task_loss(p, model_cfg, tcfg, task_sensors, drawn["task"]), {}),
+        {"task": SensorSampler(samples, batch, seed, sensor_id=0, stream=STREAM_TASK)},
+        {s.sensor_id: 1.0 for s in registry}, cfg, params,
+        steps_per_epoch=math.ceil(len(samples) / batch), log_path=log_path, dump_dir=dump_dir)
     try:
-        for step in range(steps):
-            batch = []
-            for _ in range(min(batch_size, len(samples))):
-                if cursor >= len(order):
-                    order = rng.permutation(len(samples))
-                    cursor = 0
-                batch.append(samples[order[cursor]])
-                cursor += 1
-            with T.fresh_tape():
-                loss = task_loss(params, model_cfg, tcfg, task_sensors, batch)
-                T.backward(loss)
-            adamw_step(trainable, m, v, step, lr, 1.0, opt_cfg, scales)
-            losses.append(float(loss.data))
-            if log:
-                log.write(json.dumps({"step": step, "loss": losses[-1]}) + "\n")
+        for _ in range(steps):
+            trainer.train_step()
     finally:
-        if log:
-            log.close()
-    return params, losses
+        trainer.close()
+    return params, trainer.state.history
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,7 @@ def test_finetune_outputs(ws, tmp_path):
     assert np.isfinite(summary["final_loss"])
     lines = (out / "finetune-log.jsonl").read_text().splitlines()
     assert len(lines) == 6
+    assert set(json.loads(lines[-1])) == {"step", "epoch", "lr", "loss_total"}
     named = ckpt.load_tensors(str(out / "head.msgm"))
     assert "head.w" in named and "meta.transfer_config" in named
     meta = json.loads(bytes(named["meta.transfer_config"]).decode("utf-8"))
@@ -255,14 +256,30 @@ def test_unparsable_value_exits_2(tmp_path, capsys, setting):
     ("pretrain", "data.width=-8"),
     ("gen-data", "data.width=-8"),
     ("gen-data", "data.width=0"),
+    ("finetune", "transfer.steps=0"),
+    ("finetune", "transfer.steps=-1"),
+    ("finetune", "transfer.batch=0"),
 ])
 def test_non_positive_size_exits_2(ws, tmp_path, capsys, command, setting):
     args = [command, "--config", ws["cfg"], "--out", str(tmp_path / "x"),
             "--set", setting]
-    if command == "pretrain":
+    if command != "gen-data":
         args += ["--data", ws["data"]]
     assert main(args) == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,setting", [
+    ("finetune", "transfer.lr=nan"),
+    ("pretrain", "train.base_lr=0"),
+    ("pretrain", "train.eps=0"),
+    ("pretrain", "train.beta2=2"),
+])
+def test_bad_optimizer_value_exits_2(ws, tmp_path, capsys, command, setting):
+    args = [command, "--config", ws["cfg"], "--data", ws["data"],
+            "--out", str(tmp_path / "x"), "--set", setting]
+    assert main(args) == 2
+    assert "must be" in capsys.readouterr().err
 
 
 def test_io_error_exit_codes(ws, tmp_path, capsys):
@@ -292,6 +309,19 @@ def test_numeric_error_exit_code(ws, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
     # the resolved config is written before any heavy work begins
     assert (out / "resolved-config.txt").exists()
+
+
+def test_finetune_numeric_failure_writes_dump(ws, tmp_path, capsys):
+    out = tmp_path / "ft"
+    with np.errstate(all="ignore"):
+        code = main(["finetune", "--config", ws["cfg"], "--data", ws["data"],
+                     "--checkpoint", ws["pre"], "--out", str(out),
+                     "--set", "transfer.lr=1e30"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "diagnostic dump: " in err
+    dump = err.split("diagnostic dump: ", 1)[1].strip()
+    assert os.path.dirname(dump) == str(out) and os.path.isfile(dump)
 
 
 def test_compat_error_exit_codes(ws, tmp_path, capsys):

@@ -13,8 +13,8 @@ from crossmim.errors import (CheckpointError, CompatibilityError, ConfigError,
                              NumericError)
 from crossmim.sensors import desk_registry, gen_synthetic, pair_registry
 from crossmim.training import (STREAM_CROSS, STREAM_DATA, STREAM_MASK,
-                               SensorSampler, TrainConfig, Trainer, adamw_step,
-                               load_pretrained, lr_at, make_schedule,
+                               STREAM_TASK, SensorSampler, TrainConfig, Trainer,
+                               adamw_step, load_pretrained, lr_at, make_schedule,
                                owner_sensor, stream_rng)
 
 import oracles
@@ -57,6 +57,14 @@ def test_train_config_validation():
         TrainConfig(base_batch=0)
     with pytest.raises(ConfigError):
         TrainConfig(warmup_epochs=3, epochs=2)
+    for name, value in [("base_lr", 0.0), ("base_lr", float("nan")), ("base_lr", float("inf")),
+                        ("warmup_lr", -1e-6), ("warmup_lr", float("inf")),
+                        ("gamma", 0.0), ("gamma", float("nan")),
+                        ("beta1", 1.0), ("beta2", -0.1), ("beta2", 2.0),
+                        ("eps", 0.0), ("weight_decay", -0.01), ("weight_decay", float("nan"))]:
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
+    TrainConfig(warmup_lr=0.0, beta1=0.0, weight_decay=0.0)
 
 
 def test_make_schedule_proportional_batches():
@@ -184,6 +192,8 @@ def test_sampler_reshuffles_between_cycles_deterministically():
     assert sorted(first_a) == sorted(second_a)
     c = SensorSampler(list(range(8)), 8, seed=3, sensor_id=1)
     assert c.next_batch() != first_a
+    task = SensorSampler(list(range(8)), 8, seed=2, sensor_id=1, stream=STREAM_TASK)
+    assert task.next_batch() != first_a  # its own lane, not the pretraining data stream
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +339,27 @@ def test_numeric_failure_dumps_diagnostics(tmp_path):
     dumped = json.load(open(diag["dump_path"]))
     assert dumped["diagnostics"]["stage"] == "feedforward"
     assert dumped["diagnostics"]["block"] == 0
+
+
+def test_step_checks_any_loss_is_finite(tmp_path):
+    w = T.Tensor(np.ones((2, 2)), requires_grad=True)
+    seen = []
+
+    def stub_loss(params, batch):
+        seen.append(batch)
+        return T.reduce_sum(params["w"]) * np.inf, {}
+
+    tr = Trainer.for_loss(stub_loss, {"task": SensorSampler([1, 2, 3], 2, 0, 0)}, {},
+                          TrainConfig(warmup_epochs=0), {"w": w}, steps_per_epoch=2,
+                          dump_dir=str(tmp_path))
+    with pytest.raises(NumericError, match="non-finite loss") as exc:
+        tr.train_step()
+    diag = exc.value.diagnostics
+    assert diag["step"] == 0 and diag["round_sensors"] == {"task": 2}
+    assert len(seen) == 1 and len(seen[0]["task"]) == 2
+    assert json.load(open(diag["dump_path"]))["error"] == "non-finite loss"
+    assert tr.state.step == 0 and tr.state.history == []
+    np.testing.assert_array_equal(w.data, np.ones((2, 2)))  # no update applied
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ math runs on the package's own reverse-mode autodiff tensors.
 __version__ = "0.1.0"
 
 from .config import ModelConfig, RunConfig, desk_config, paper_config
-from .encoder import EncoderConfig, RoutingReport, encode, moe_forward
+from .encoder import RoutingReport, encode, moe_forward
 from .masking import MaskPlan, draw_mask, to_pixel_mask, to_token_mask
 from .sensors import (Dataset, MultisensorBatch, SampleRecord, SensorRegistry,
                       SensorSpec, desk_registry, gen_synthetic, load_manifest,
@@ -20,7 +20,7 @@ from .tensor import Tensor, backward, fresh_tape, no_grad
 from .training import TrainConfig, Trainer, make_schedule
 
 __all__ = [
-    "Dataset", "EncoderConfig", "MaskPlan", "ModelConfig", "MultisensorBatch",
+    "Dataset", "MaskPlan", "ModelConfig", "MultisensorBatch",
     "RoutingReport", "RunConfig", "SampleRecord", "SensorRegistry", "SensorSpec",
     "Tensor", "TrainConfig", "Trainer", "backward", "desk_config",
     "desk_registry", "draw_mask", "encode", "fresh_tape", "gen_synthetic",

@@ -184,9 +184,12 @@ def cmd_ablate(args):
     moes = [bool(int(v)) for v in (axes["moe"] if axes["moe"] is not None
                                    else [1.0 if run["model.moe"] else 0.0])]
     crosses = axes["cross"] if axes["cross"] is not None else [run["train.p_cross"]]
-    for c in crosses:
-        if not 0.0 <= c <= 1.0:
-            raise ConfigError(f"cross rate must be in [0, 1], got {c}")
+    # every cell's config is built, and so checked, before the first cell trains;
+    # the grid varies model keys only, so the cells share one TrainConfig
+    train_cfg = run.build(TrainConfig, "train")
+    cells = [(moe, cross, run.with_overrides({"model.moe": moe,
+                                              "train.p_cross": cross}).model_config())
+             for moe in moes for cross in crosses]
 
     if args.data:
         dataset = load_manifest(_manifest_path(args.data))
@@ -198,36 +201,31 @@ def cmd_ablate(args):
 
     rows = []
     results = []
-    for moe in moes:
-        for cross in crosses:
-            cell = run.with_overrides({"model.moe": moe, "train.p_cross": cross})
-            cell_dir = os.path.join(args.out, f"cell-moe{int(moe)}-cross{cross:g}")
-            os.makedirs(cell_dir, exist_ok=True)
-            trainer = Trainer(dataset, cell.model_config(), cell.build(TrainConfig, "train"),
-                              log_path=os.path.join(cell_dir, "metrics.jsonl"),
-                              dump_dir=cell_dir)
-            try:
-                trainer.train_epochs()
-            finally:
-                trainer.close()
-            records = _eval_records(dataset, run["eval.samples"])
-            report = reconstruction_report(trainer.state.params, cell.model_config(),
-                                           dataset, records,
-                                           stream_rng(run["seed"], STREAM_EVAL))
-            cross_l1 = cross_reconstruction_l1(trainer.state.params, cell.model_config(),
-                                               dataset, records,
-                                               stream_rng(run["seed"], STREAM_EVAL, 1))
-            agg = {
-                key: float(np.mean([per[key] for per in report.values() if key in per]))
-                for key in ("masked_l1", "mae", "psnr", "ssim")
-            }
-            label = f"{'moe' if moe else 'dense'}/cross={cross:g}"
-            rows.append([label, agg["masked_l1"], cross_l1, agg["mae"],
-                         agg["psnr"], agg["ssim"]])
-            results.append({
-                "moe": moe, "cross": cross, "aggregate": agg,
-                "cross_l1": cross_l1, "per_sensor": report,
-            })
+    for moe, cross, model_cfg in cells:
+        cell_dir = os.path.join(args.out, f"cell-moe{int(moe)}-cross{cross:g}")
+        os.makedirs(cell_dir, exist_ok=True)
+        trainer = Trainer(dataset, model_cfg, train_cfg,
+                          log_path=os.path.join(cell_dir, "metrics.jsonl"), dump_dir=cell_dir)
+        try:
+            trainer.train_epochs()
+        finally:
+            trainer.close()
+        records = _eval_records(dataset, run["eval.samples"])
+        report = reconstruction_report(trainer.state.params, model_cfg, dataset, records,
+                                       stream_rng(run["seed"], STREAM_EVAL))
+        cross_l1 = cross_reconstruction_l1(trainer.state.params, model_cfg, dataset, records,
+                                           stream_rng(run["seed"], STREAM_EVAL, 1))
+        agg = {
+            key: float(np.mean([per[key] for per in report.values() if key in per]))
+            for key in ("masked_l1", "mae", "psnr", "ssim")
+        }
+        label = f"{'moe' if moe else 'dense'}/cross={cross:g}"
+        rows.append([label, agg["masked_l1"], cross_l1, agg["mae"],
+                     agg["psnr"], agg["ssim"]])
+        results.append({
+            "moe": moe, "cross": cross, "aggregate": agg,
+            "cross_l1": cross_l1, "per_sensor": report,
+        })
 
     table = format_table(["strategy", "masked_l1", "cross_l1", "mae", "psnr", "ssim"], rows)
     print(table, end="")

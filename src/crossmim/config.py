@@ -6,16 +6,16 @@ every command writes its fully-resolved configuration next to its outputs
 before doing real work.
 """
 
+import math
 from dataclasses import dataclass, fields
 
-from .encoder import EncoderConfig, every_other_block
 from .errors import ConfigError
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture plus masking geometry; see `encoder_config` for the
-    trunk view of the same numbers."""
+    """Architecture, masking geometry and the MoE objective; `encode` and
+    `init_params` read the trunk's shape from it directly."""
 
     # the fields that shape the network; a checkpoint pins these and only
     # these, so the objective settings may change at load time
@@ -42,6 +42,15 @@ class ModelConfig:
                      "num_experts", "ffn_mult"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.depth < 0:
+            raise ConfigError(f"depth must be >= 0, got {self.depth}")
+        if self.width % self.heads:
+            raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
+        # every comparison with NaN is False, so NaN fails both ranges
+        if not 1.0 <= self.capacity_factor < math.inf:
+            raise ConfigError(f"capacity_factor must be finite and >= 1, got {self.capacity_factor}")
+        if not 0.0 <= self.aux_weight < math.inf:
+            raise ConfigError(f"aux_weight must be finite and >= 0, got {self.aux_weight}")
         if self.image_w % self.mask_unit or self.image_h % self.mask_unit:
             raise ConfigError(
                 f"image {self.image_w}x{self.image_h} not divisible by mask unit {self.mask_unit}"
@@ -59,17 +68,10 @@ class ModelConfig:
     def tokens(self):
         return (self.image_w // self.patch_size) * (self.image_h // self.patch_size)
 
-    def encoder_config(self):
-        return EncoderConfig(
-            depth=self.depth,
-            width=self.width,
-            heads=self.heads,
-            moe_block_indices=every_other_block(self.depth) if self.moe else (),
-            num_experts=self.num_experts,
-            capacity_factor=self.capacity_factor,
-            aux_weight=self.aux_weight,
-            ffn_mult=self.ffn_mult,
-        )
+    @property
+    def moe_block_indices(self):
+        """Every other block, starting at block 1, is a mixture of experts."""
+        return tuple(range(1, self.depth, 2)) if self.moe else ()
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -198,6 +200,10 @@ _FIELD_KEYS = {
     "num_classes": "transfer.classes",
 }
 
+# keys that no config dataclass range-checks, with the least value each
+# allows; checked whenever a RunConfig is built
+_MINIMUMS = {"seed": 0, "eval.samples": 1, "reconstruct.samples": 1}
+
 
 class RunConfig:
     """Typed view over the flat key space, with schema defaults filled in."""
@@ -208,6 +214,9 @@ class RunConfig:
             if k not in SCHEMA:
                 raise ConfigError(f"unknown config key {k!r}")
             merged[k] = v
+        for k, least in _MINIMUMS.items():
+            if merged[k] < least:
+                raise ConfigError(f"{k} must be >= {least}, got {merged[k]}")
         self._values = merged
 
     def __getitem__(self, key):

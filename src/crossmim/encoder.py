@@ -16,48 +16,6 @@ from . import tensor as T
 from .errors import ConfigError, NumericError, ShapeError
 
 
-def every_other_block(depth):
-    return tuple(range(1, depth, 2))
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    depth: int = 8
-    width: int = 64
-    heads: int = 4
-    moe_block_indices: tuple = None  # None -> every other block
-    num_experts: int = 8
-    top_k: int = 1
-    capacity_factor: float = 1.25
-    aux_weight: float = 0.01
-    ffn_mult: int = 4
-
-    def __post_init__(self):
-        if self.moe_block_indices is None:
-            object.__setattr__(self, "moe_block_indices", every_other_block(self.depth))
-        object.__setattr__(self, "moe_block_indices", tuple(sorted(self.moe_block_indices)))
-        if self.depth < 0:
-            raise ConfigError(f"depth must be >= 0, got {self.depth}")
-        if self.width % self.heads != 0:
-            raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
-        if any(not 0 <= i < self.depth for i in self.moe_block_indices):
-            raise ConfigError(f"moe_block_indices {self.moe_block_indices} outside [0, {self.depth})")
-        if self.top_k != 1:
-            raise ConfigError(f"only top-1 routing is supported, got top_k={self.top_k}")
-        if self.capacity_factor < 1.0:
-            raise ConfigError(f"capacity_factor must be >= 1, got {self.capacity_factor}")
-        if self.num_experts < 1 and self.moe_block_indices:
-            raise ConfigError("MoE blocks configured with zero experts")
-
-    @property
-    def head_dim(self):
-        return self.width // self.heads
-
-    @property
-    def ffn_hidden(self):
-        return self.ffn_mult * self.width
-
-
 @dataclass(frozen=True)
 class RoutingReport:
     """Per-MoE-layer dispatch accounting for one sample's forward pass."""
@@ -202,8 +160,12 @@ def _check_finite(x, block_index, stage):
         )
 
 
-def encode(tokens, config, params, prefix="encoder."):
+def encode(tokens, config, params):
     """Run the shared trunk over (L, width) or (B, L, width) token sequences.
+
+    `config` is the ModelConfig, whose width, depth, heads,
+    moe_block_indices, num_experts and capacity_factor shape the trunk;
+    block k reads its parameters under `encoder.block<k>.`.
 
     Returns (features, aux_loss, reports): aux_loss is the tape sum of
     balance losses over MoE blocks per sample, shaped tokens.shape[:-2] (a
@@ -217,7 +179,7 @@ def encode(tokens, config, params, prefix="encoder."):
     aux_total = T.constant(np.zeros(x.shape[:1], dtype=tokens.dtype))
     per_block = []
     for k in range(config.depth):
-        b = f"{prefix}block{k}."
+        b = f"encoder.block{k}."
         attn_params = {key: params[b + "attn." + key]
                        for key in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
         x = x + attention(T.layer_norm(x, params[b + "ln1.gamma"], params[b + "ln1.beta"]),

@@ -52,7 +52,6 @@ def init_params(registry, cfg, seed, dtype=np.float32):
     params = {}
     d = cfg.width
     p = cfg.patch_size
-    enc = cfg.encoder_config()
 
     for s in registry:
         _make(params, f"embedder.{s.sensor_id}.kernel", (d, s.channels, p, p), seed, "normal", dtype)
@@ -60,8 +59,8 @@ def init_params(registry, cfg, seed, dtype=np.float32):
     _make(params, "shared.mask_token", (d,), seed, "normal", dtype)
     _make(params, "shared.pos_embed", (cfg.tokens, d), seed, "normal", dtype)
 
-    hidden = enc.ffn_hidden
-    for k in range(enc.depth):
+    hidden = cfg.ffn_mult * d
+    for k in range(cfg.depth):
         b = f"encoder.block{k}."
         _make(params, b + "ln1.gamma", (d,), seed, "ones", dtype)
         _make(params, b + "ln1.beta", (d,), seed, "zeros", dtype)
@@ -71,9 +70,9 @@ def init_params(registry, cfg, seed, dtype=np.float32):
             _make(params, b + f"attn.{bias}", (d,), seed, "zeros", dtype)
         _make(params, b + "ln2.gamma", (d,), seed, "ones", dtype)
         _make(params, b + "ln2.beta", (d,), seed, "zeros", dtype)
-        if k in enc.moe_block_indices:
-            _make(params, b + "gate.w", (d, enc.num_experts), seed, "normal", dtype)
-            for e in range(enc.num_experts):
+        if k in cfg.moe_block_indices:
+            _make(params, b + "gate.w", (d, cfg.num_experts), seed, "normal", dtype)
+            for e in range(cfg.num_experts):
                 _make(params, b + f"expert{e}.w1", (d, hidden), seed, "normal", dtype)
                 _make(params, b + f"expert{e}.b1", (hidden,), seed, "zeros", dtype)
                 _make(params, b + f"expert{e}.w2", (hidden, d), seed, "normal", dtype)
@@ -117,7 +116,7 @@ def _encode_masked(params, cfg, images, sensor_id, token_mask):
     x = images if isinstance(images, T.Tensor) else T.constant(images)
     tokens = embed(x, embedder_of(params, sensor_id), shared_tokens(params),
                    token_mask=token_mask, image_sensor_id=sensor_id)
-    return encode(tokens, cfg.encoder_config(), params)
+    return encode(tokens, cfg, params)
 
 
 def reconstruct_sample(params, cfg, image, sensor_id, token_mask, target_sensor):

@@ -59,8 +59,11 @@ class TrainConfig:
     lr_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.base_batch < 1:
-            raise ConfigError(f"base_batch must be >= 1, got {self.base_batch}")
+        for name in ("base_batch", "checkpoint_every", "log_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.warmup_epochs < 0:
+            raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         # every comparison with NaN is False, so NaN fails each range
         for names, in_range, want in (
             (("base_lr", "gamma", "eps"), lambda x: 0 < x < math.inf, "finite and > 0"),
@@ -93,10 +96,11 @@ class ScheduleEntry:
 def make_schedule(sizes, base_batch, batch_overrides=None, lr_overrides=None):
     """Per-sensor (batch size, lr scale, steps/epoch) from dataset sizes.
 
-    The largest sensor receives the base batch; every other sensor gets a
-    batch proportional to its share of the data, and its learning rate is
-    scaled by the same factor.  Steps per epoch are equalized to the
-    largest sensor's count; smaller sensors cycle with fresh shuffles.
+    The largest sensor receives the base batch, which may not exceed its
+    sample count; every other sensor gets a batch proportional to its share
+    of the data, and its learning rate is scaled by the same factor.  Steps
+    per epoch are equalized to the largest sensor's count; smaller sensors
+    cycle with fresh shuffles.
     """
     if not sizes:
         raise ConfigError("make_schedule needs at least one sensor")
@@ -106,6 +110,8 @@ def make_schedule(sizes, base_batch, batch_overrides=None, lr_overrides=None):
     batch_overrides = batch_overrides or {}
     lr_overrides = lr_overrides or {}
     n_max = max(sizes.values())
+    if base_batch > n_max:
+        raise ConfigError(f"base_batch {base_batch} exceeds the largest sensor's {n_max} samples")
     steps = int(math.ceil(n_max / base_batch))
     out = {}
     for sid, n in sorted(sizes.items()):
@@ -306,7 +312,7 @@ class Trainer:
         }
         state.history.append(metrics["loss_total"])
         state.step += 1
-        if state.step % max(1, self.cfg.log_every) == 0:
+        if state.step % self.cfg.log_every == 0:
             self._log(metrics)
         return metrics
 
@@ -319,7 +325,7 @@ class Trainer:
             boundary = self.state.step % self.steps_per_epoch == 0
             if checkpoint_dir and boundary:
                 ep = self.epoch
-                if ep % max(1, self.cfg.checkpoint_every) == 0 or self.state.step == target:
+                if ep % self.cfg.checkpoint_every == 0 or self.state.step == target:
                     self.save(os.path.join(checkpoint_dir, f"checkpoint-epoch{ep}.msgm"))
         if checkpoint_dir:
             self.save(os.path.join(checkpoint_dir, "checkpoint-final.msgm"))

@@ -48,6 +48,8 @@ class TransferConfig:
         for name in ("steps", "batch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"transfer.{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.lr < math.inf:  # NaN fails too
+            raise ConfigError(f"transfer.lr must be finite and > 0, got {self.lr}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown transfer mode {self.mode!r}, expected one of {MODES}")
         if self.head not in HEADS:
@@ -133,13 +135,12 @@ def finetune_forward(params, model_cfg, tcfg, task_sensors, samples):
             raise ConfigError(f"sample is missing sensor {sid} required by the transfer mode")
     like = params["head.w"]
     shared = shared_tokens(params)
-    encoder_cfg = model_cfg.encoder_config()
     if tcfg.mode == "shared_encoder_concat":
         feats = []
         for sid in task_sensors:
             images = T.constant(np.stack([s.images[sid] for s in batch]), like=like)
             tokens = embed(images, embedder_of(params, sid), shared, image_sensor_id=sid)
-            feats.append(encode(tokens, encoder_cfg, params)[0])
+            feats.append(encode(tokens, model_cfg, params)[0])
         per_token = feats[0] if len(feats) == 1 else T.concat(feats, axis=-1)
     else:
         stacked = np.stack([np.concatenate([s.images[sid] for sid in task_sensors], axis=0)
@@ -147,7 +148,7 @@ def finetune_forward(params, model_cfg, tcfg, task_sensors, samples):
         fused = SensorEmbedder(sensor_id=-1, kernel=params["transfer.embed.kernel"],
                                bias=params["transfer.embed.bias"])
         tokens = embed(T.constant(stacked, like=like), fused, shared)
-        per_token = encode(tokens, encoder_cfg, params)[0]  # (B, L, width)
+        per_token = encode(tokens, model_cfg, params)[0]  # (B, L, width)
 
     if tcfg.head == "multilabel":
         out = T.linear(T.reduce_mean(per_token, axis=1), params["head.w"], params["head.b"])  # (B, K)

@@ -282,6 +282,34 @@ def test_bad_optimizer_value_exits_2(ws, tmp_path, capsys, command, setting):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,setting", [
+    ("pretrain", "model.capacity_factor=inf"),
+    ("pretrain", "model.capacity_factor=nan"),
+    ("pretrain", "model.aux_weight=nan"),
+    ("pretrain", "model.aux_weight=-1"),
+    ("gen-data", "seed=-1"),
+    ("pretrain", "seed=-1"),
+    ("finetune", "seed=-1"),
+    ("pretrain", "train.warmup_epochs=-1"),
+    ("pretrain", "train.log_every=0"),
+    ("pretrain", "train.checkpoint_every=0"),
+    ("pretrain", "train.base_batch=5"),  # the workspace has 4 images per sensor
+    ("evaluate", "eval.samples=0"),
+    ("evaluate", "eval.samples=-2"),
+    ("reconstruct", "reconstruct.samples=0"),
+    ("reconstruct", "reconstruct.samples=-1"),
+])
+def test_out_of_range_value_exits_2(ws, tmp_path, capsys, command, setting):
+    args = [command, "--config", ws["cfg"], "--out", str(tmp_path / "x"), "--set", setting]
+    if command != "gen-data":
+        args += ["--data", ws["data"]]
+    if command in ("evaluate", "reconstruct"):
+        args += ["--checkpoint", ws["pre"]]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_io_error_exit_codes(ws, tmp_path, capsys):
     out = str(tmp_path / "x")
     assert main(["pretrain", "--config", ws["cfg"],

@@ -1,11 +1,14 @@
 """Run configuration: schema, parsing, overrides, model-config mapping."""
 
+import math
+from dataclasses import fields
+
 import pytest
 
-from crossmim.config import (ModelConfig, RunConfig, desk_config, load_config,
+from crossmim.config import (SCHEMA, ModelConfig, RunConfig, desk_config, load_config,
                              paper_config, parse_config_text)
 from crossmim.errors import ConfigError
-from crossmim.training import TrainConfig
+from crossmim.training import TrainConfig, stream_rng
 from crossmim.transfer import TransferConfig
 
 
@@ -18,16 +21,19 @@ def test_model_config_validation():
         ModelConfig(mask_ratio=1.0)
     with pytest.raises(ConfigError, match="p_cross"):
         ModelConfig(p_cross=-0.2)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="aux_weight"):
+            ModelConfig(aux_weight=bad)
+    assert ModelConfig(aux_weight=0.0).aux_weight == 0.0
 
 
 def test_model_config_tokens_and_encoder_view():
+    # encode reads the ModelConfig itself; its MoE slots come from moe_block_indices
     cfg = ModelConfig(width=32, depth=6, image_w=32, image_h=16, patch_size=4)
     assert cfg.tokens == 8 * 4
-    enc = cfg.encoder_config()
-    assert enc.depth == 6 and enc.width == 32
-    assert enc.moe_block_indices == (1, 3, 5)
-    dense = ModelConfig(moe=False)
-    assert dense.encoder_config().moe_block_indices == ()
+    assert cfg.depth == 6 and cfg.width == 32
+    assert cfg.moe_block_indices == (1, 3, 5)
+    assert ModelConfig(moe=False).moe_block_indices == ()
 
 
 def test_parse_config_text_types_and_comments():
@@ -127,3 +133,22 @@ def test_presets():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.cfg"))
+
+
+@pytest.mark.parametrize("key", sorted(SCHEMA))
+def test_any_typed_value_builds_usable_configs_or_raises_config_error(key):
+    """A value a user can type either builds configs the commands can use
+    (finite floats, a valid seed, positive sample counts) or raises
+    ConfigError, which the CLI maps to exit 2; no other exception escapes."""
+    for raw in ("abc", "0", "-1", "nan", "inf", "1e12"):
+        try:
+            run = desk_config().with_overrides({key: raw})
+            built = (run.model_config(), run.build(TrainConfig, "train"),
+                     run.build(TransferConfig, "transfer"))
+        except ConfigError:
+            continue
+        floats = [getattr(c, f.name) for c in built for f in fields(c)
+                  if isinstance(getattr(c, f.name), float)]
+        assert all(math.isfinite(v) for v in floats), (key, raw)
+        assert run["eval.samples"] >= 1 and run["reconstruct.samples"] >= 1, (key, raw)
+        stream_rng(run["seed"], 0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import crossmim.tensor as T
-from crossmim.encoder import (EncoderConfig, RoutingReport, attention, encode,
-                              every_other_block, expert_capacity, moe_forward)
+from crossmim.config import ModelConfig
+from crossmim.encoder import RoutingReport, attention, encode, expert_capacity, moe_forward
 from crossmim.errors import ConfigError, NumericError, ShapeError
 
 import oracles
@@ -13,29 +13,27 @@ from test_tensor import check_op, weighted
 
 
 def test_every_other_block_puts_moe_in_odd_slots():
-    assert every_other_block(8) == (1, 3, 5, 7)
-    assert every_other_block(2) == (1,)
-    assert every_other_block(1) == ()
+    assert ModelConfig(depth=8).moe_block_indices == (1, 3, 5, 7)
+    assert ModelConfig(depth=2).moe_block_indices == (1,)
+    assert ModelConfig(depth=1).moe_block_indices == ()
 
 
 def test_encoder_config_defaults_and_validation():
-    cfg = EncoderConfig(depth=6, width=32, heads=4)
+    # the trunk's size lives on ModelConfig and is checked where it is built
+    cfg = ModelConfig(depth=6, width=32, heads=4)
     assert cfg.moe_block_indices == (1, 3, 5)
-    assert cfg.head_dim == 8
-    assert cfg.ffn_hidden == 128
-    with pytest.raises(ConfigError):
-        EncoderConfig(depth=-1)
-    with pytest.raises(ConfigError):
-        EncoderConfig(width=30, heads=4)
-    with pytest.raises(ConfigError):
-        EncoderConfig(depth=2, moe_block_indices=(5,))
-    with pytest.raises(ConfigError):
-        EncoderConfig(top_k=2)
-    with pytest.raises(ConfigError):
-        EncoderConfig(capacity_factor=0.5)
-    with pytest.raises(ConfigError):
-        EncoderConfig(depth=2, num_experts=0)
-    assert EncoderConfig(depth=2, moe_block_indices=(), num_experts=0).depth == 2
+    assert cfg.width // cfg.heads == 8
+    assert cfg.ffn_mult * cfg.width == 128
+    with pytest.raises(ConfigError, match="depth"):
+        ModelConfig(depth=-1)
+    with pytest.raises(ConfigError, match="divisible by heads"):
+        ModelConfig(width=30, heads=4)
+    for bad in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="capacity_factor"):
+            ModelConfig(capacity_factor=bad)
+    with pytest.raises(ConfigError, match="num_experts"):
+        ModelConfig(depth=2, num_experts=0)
+    assert ModelConfig(depth=0, capacity_factor=1.0).depth == 0
 
 
 def test_expert_capacity_floor_with_minimum_one():
@@ -243,7 +241,7 @@ def test_moe_gradients_flow_through_gate_and_experts(rng):
 
 def enc_params(cfg, rng, dtype=np.float64, grad=False):
     p = {}
-    d, hidden = cfg.width, cfg.ffn_hidden
+    d, hidden = cfg.width, cfg.ffn_mult * cfg.width
 
     def mk(shape, scale=0.3):
         return T.Tensor(rng.normal(size=shape) * scale, dtype=dtype, requires_grad=grad)
@@ -274,7 +272,7 @@ def enc_params(cfg, rng, dtype=np.float64, grad=False):
 
 
 def test_encode_depth_zero_is_identity(rng):
-    cfg = EncoderConfig(depth=0, width=8, heads=2, moe_block_indices=())
+    cfg = ModelConfig(depth=0, width=8, heads=2, moe=False)
     x = T.Tensor(rng.normal(size=(4, 8)))
     out, aux, reports = encode(x, cfg, {})
     np.testing.assert_array_equal(out.data, x.data)
@@ -283,7 +281,7 @@ def test_encode_depth_zero_is_identity(rng):
 
 
 def test_encode_shapes_and_reports(rng):
-    cfg = EncoderConfig(depth=4, width=8, heads=2, num_experts=2, ffn_mult=2)
+    cfg = ModelConfig(depth=4, width=8, heads=2, num_experts=2, ffn_mult=2)
     p = enc_params(cfg, rng)
     x = T.Tensor(rng.normal(size=(6, 8)), dtype=np.float64)
     out, aux, reports = encode(x, cfg, p)
@@ -296,13 +294,13 @@ def test_encode_shapes_and_reports(rng):
 
 
 def test_encode_rejects_wrong_token_width(rng):
-    cfg = EncoderConfig(depth=1, width=8, heads=2, moe_block_indices=())
+    cfg = ModelConfig(depth=1, width=8, heads=2, moe=False)
     with pytest.raises(ShapeError):
         encode(T.Tensor(rng.normal(size=(4, 7))), cfg, {})
 
 
 def test_encode_flags_non_finite_with_block_and_stage(rng):
-    cfg = EncoderConfig(depth=2, width=8, heads=2, moe_block_indices=(), ffn_mult=2)
+    cfg = ModelConfig(depth=2, width=8, heads=2, moe=False, ffn_mult=2)
     p = enc_params(cfg, rng)
     x = T.Tensor(rng.normal(size=(4, 8)), dtype=np.float64)
 
@@ -321,7 +319,7 @@ def test_encode_flags_non_finite_with_block_and_stage(rng):
 
 
 def test_encode_gradients_through_moe_trunk(rng):
-    cfg = EncoderConfig(depth=2, width=4, heads=2, num_experts=2, ffn_mult=2)
+    cfg = ModelConfig(depth=2, width=4, heads=2, num_experts=2, ffn_mult=2)
     p = enc_params(cfg, np.random.default_rng(8))
     x = rng.normal(size=(5, 4)) * 0.5
 

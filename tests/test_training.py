@@ -57,7 +57,8 @@ def test_train_config_validation():
         TrainConfig(base_batch=0)
     with pytest.raises(ConfigError):
         TrainConfig(warmup_epochs=3, epochs=2)
-    for name, value in [("base_lr", 0.0), ("base_lr", float("nan")), ("base_lr", float("inf")),
+    for name, value in [("warmup_epochs", -1), ("log_every", 0), ("checkpoint_every", 0),
+                        ("base_lr", 0.0), ("base_lr", float("nan")), ("base_lr", float("inf")),
                         ("warmup_lr", -1e-6), ("warmup_lr", float("inf")),
                         ("gamma", 0.0), ("gamma", float("nan")),
                         ("beta1", 1.0), ("beta2", -0.1), ("beta2", 2.0),
@@ -87,6 +88,9 @@ def test_make_schedule_validation():
         make_schedule({}, 8)
     with pytest.raises(ConfigError):
         make_schedule({0: 0}, 8)
+    with pytest.raises(ConfigError, match="base_batch 5 exceeds"):
+        make_schedule({0: 4, 1: 2}, 5)
+    assert make_schedule({0: 4, 1: 2}, 4)[0].batch_size == 4
 
 
 def test_lr_at_warmup_then_milestones():

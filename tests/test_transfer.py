@@ -45,6 +45,9 @@ def test_transfer_config_validation():
         TransferConfig(head="bogus")
     with pytest.raises(ConfigError):
         TransferConfig(head="multilabel", num_classes=1)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="transfer.lr"):
+            TransferConfig(lr=lr)
 
 
 def test_head_widths():

@@ -12,17 +12,19 @@ import crossmim.tensor as T
 
 
 def main():
-    print("== scalars ==")
-    x = T.Tensor(1.5, requires_grad=True)
+    print("== a one-unit GELU feed-forward ==")
+    x = T.Tensor([[1.5]], requires_grad=True)
+    one, zero = T.constant([[1.0]], like=x), T.constant([0.0], like=x)
     with T.fresh_tape():
-        y = T.gelu(x) * 2.0 + x * x
+        # ffn with unit weights and zero biases is gelu(x)
+        y = T.ffn(x, one, zero, one, zero) * 2.0 + x * x
         T.backward(y)
     # d/dx [2 gelu(x) + x^2] = 2 (Phi(x) + x phi(x)) + 2x
     cdf = 0.5 * (1.0 + math.erf(1.5 / math.sqrt(2.0)))
     pdf = math.exp(-0.5 * 1.5 * 1.5) / math.sqrt(2.0 * math.pi)
     expect = 2.0 * (cdf + 1.5 * pdf) + 3.0
     print(f"y  = {y.item():.6f}")
-    print(f"dy/dx analytic {float(x.grad):.6f}, closed form {expect:.6f}")
+    print(f"dy/dx analytic {x.grad.item():.6f}, closed form {expect:.6f}")
     x.zero_grad()
 
     print("\n== matrices and broadcasting ==")

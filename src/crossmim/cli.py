@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import checkpoint as ckpt
-from .config import desk_config, load_config
+from .config import _parse_value, desk_config, load_config
 from .errors import (CheckpointError, CompatibilityError, ConfigError,
                      DataFormatError, NumericError)
 from .metrics import ssi
@@ -152,8 +152,12 @@ def cmd_pretrain(args):
     return 0
 
 
+# ablation grid axis -> the config key whose parser reads its values
+GRID_KEYS = {"moe": "model.moe", "cross": "train.p_cross"}
+
+
 def _parse_grid(spec):
-    axes = {"moe": None, "cross": None}
+    axes = dict.fromkeys(GRID_KEYS)
     if not spec or not spec.strip():
         raise ConfigError("empty ablation grid")
     for part in spec.split(";"):
@@ -166,8 +170,8 @@ def _parse_grid(spec):
         if name not in axes:
             raise ConfigError(f"unknown grid axis {name!r}, expected moe or cross")
         try:
-            parsed = [float(v) for v in vals.split(",") if v.strip() != ""]
-        except ValueError as e:
+            parsed = [_parse_value(GRID_KEYS[name], v) for v in vals.split(",") if v.strip()]
+        except ConfigError as e:
             raise ConfigError(f"bad grid values for {name}: {e}") from e
         if not parsed:
             raise ConfigError(f"grid axis {name} has no values")
@@ -181,8 +185,7 @@ def cmd_ablate(args):
     run = _run_config(args)
     _prepare_out(args, run)
     axes = _parse_grid(args.grid)
-    moes = [bool(int(v)) for v in (axes["moe"] if axes["moe"] is not None
-                                   else [1.0 if run["model.moe"] else 0.0])]
+    moes = axes["moe"] if axes["moe"] is not None else [run["model.moe"]]
     crosses = axes["cross"] if axes["cross"] is not None else [run["train.p_cross"]]
     # every cell's config is built, and so checked, before the first cell trains;
     # the grid varies model keys only, so the cells share one TrainConfig

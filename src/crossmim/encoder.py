@@ -51,10 +51,6 @@ def expert_capacity(n_tokens, num_experts, capacity_factor):
     return max(1, int(math.floor(capacity_factor * n_tokens / num_experts)))
 
 
-def _ffn(x, w1, b1, w2, b2):
-    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
-
-
 def _batched(x):
     """(L, width) -> (1, L, width); a (B, L, width) batch is returned as is."""
     return T.reshape(x, (-1,) + tuple(x.shape[-2:]))
@@ -63,19 +59,8 @@ def _batched(x):
 def attention(x, p, heads):
     """Multi-head self-attention over (L, width) or (B, L, width) sequences."""
     xb = _batched(x)
-    b, n, d = xb.shape
-    dh = d // heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def split(name, axes):
-        t = T.linear(xb, p["w" + name], p["b" + name])
-        return T.transpose(T.reshape(t, (b, n, heads, dh)), axes)
-
-    q = split("q", (0, 2, 1, 3))  # (B, H, L, dh)
-    kt = split("k", (0, 2, 3, 1))  # (B, H, dh, L)
-    v = split("v", (0, 2, 1, 3))
-    ctx = T.reshape(T.transpose(T.attend(q, kt, v, scale), (0, 2, 1, 3)), (b, n, d))
-    return T.reshape(T.linear(ctx, p["wo"], p["bo"]), x.shape)
+    q, k, v = (T.linear(xb, p["w" + name], p["b" + name]) for name in "qkv")
+    return T.reshape(T.linear(T.attend(q, k, v, heads), p["wo"], p["bo"]), x.shape)
 
 
 def _dispatch(assign, n_tokens, num_experts, capacity):
@@ -122,16 +107,8 @@ def moe_forward(x, gate_w, experts, capacity_factor=1.25):
     assign = np.argmax(probs.data, axis=-1).reshape(-1)  # ties break to lowest index
     capacity = expert_capacity(n_tokens, num_experts, capacity_factor)
 
-    gate_column = T.reshape(probs, (-1, 1))
-    combined = None
-    for e, idx in enumerate(_dispatch(assign, n_tokens, num_experts, capacity)):
-        if len(idx) == 0:
-            continue
-        ye = _ffn(T.take_rows(rows, idx), experts[e]["w1"], experts[e]["b1"],
-                  experts[e]["w2"], experts[e]["b2"])
-        gate = T.take_rows(gate_column, idx * num_experts + e)  # (k, 1)
-        part = T.put_rows(idx, ye * gate, b * n_tokens)
-        combined = part if combined is None else combined + part
+    groups = _dispatch(assign, n_tokens, num_experts, capacity)
+    combined = T.moe_ffn(rows, probs, groups, experts)
 
     sample = np.arange(b * n_tokens) // n_tokens
     routed = np.bincount(sample * num_experts + assign, minlength=b * num_experts)
@@ -193,8 +170,7 @@ def encode(tokens, config, params):
             aux_total = aux_total + aux
             per_block.append([replace(r, block_index=k) for r in routing])
         else:
-            y = _ffn(h, params[b + "ffn.w1"], params[b + "ffn.b1"],
-                     params[b + "ffn.w2"], params[b + "ffn.b2"])
+            y = T.ffn(h, *(params[b + "ffn." + key] for key in ("w1", "b1", "w2", "b2")))
         x = x + y
         _check_finite(x, k, "feedforward")
     reports = [r for sample in zip(*per_block) for r in sample]

@@ -1,9 +1,11 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 Every differentiable operation is a primitive with a hand-written gradient,
-including the fused layers `linear`, `softmax`, `layer_norm` and `attend`,
-one tape node each; their composite forms survive only as float64 oracles
-in the tests.  Patch reshapes and `l1_loss` are the only compositions here.
+including the fused layers, one tape node each: `linear`, `softmax`,
+`layer_norm`, the exact-GELU feed-forward `ffn`, the gated expert bank
+`moe_ffn`, and multi-head attention `attend`.  Their composite forms
+survive only as float64 oracles in the tests.  Patch reshapes and `l1_loss`
+are the only compositions here.
 Operations are recorded on a tape in execution order; ``backward`` walks
 the tape in exact reverse order, so recording order doubles as the
 topological order.  There is no other global state.
@@ -313,20 +315,6 @@ def abs_(a):
     return _record(out, (a,), back)
 
 
-def gelu(a):
-    """Exact (erf-based) GELU."""
-    x = a.data
-    # Python floats, not NumPy float64 scalars, keep float32 input float32
-    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
-    out = Tensor(x * cdf)
-
-    def back(g):
-        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        _accumulate(a, g * (cdf + x * pdf))
-
-    return _record(out, (a,), back)
-
-
 def matmul(a, b):
     """Matrix product over the last two axes; leading axes broadcast."""
     if a.ndim < 2 or b.ndim < 2:
@@ -403,22 +391,6 @@ def take_rows(a, indices):
         _accumulate(a, full)
 
     return _record(out, (a,), back)
-
-
-def put_rows(indices, rows, length):
-    """Scatter rows into a zero tensor of `length` rows (MoE combine).
-
-    Indices must be unique; the gradient of `rows` is a gather at `indices`.
-    """
-    idx = np.asarray(indices, dtype=np.intp)
-    out_data = np.zeros((int(length),) + rows.data.shape[1:], dtype=rows.data.dtype)
-    out_data[idx] = rows.data
-    out = Tensor(out_data)
-
-    def back(g):
-        _accumulate(rows, g[idx])
-
-    return _record(out, (rows,), back)
 
 
 def concat(tensors, axis=0):
@@ -499,27 +471,116 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return _record(out, (x, gamma, beta), back)
 
 
-def attend(q, kt, v, scale):
-    """softmax(scale * q @ kt) @ v for q (..., L, dh), kt (..., dh, L), v (..., L, dv).
+def _ffn_forward(x, w1, b1, w2, b2):
+    """gelu(x @ w1 + b1) @ w2 + b2 on arrays, with the exact erf GELU.
 
-    The scores become probabilities in place, and only those are kept.  The
-    backward pass is FlashAttention's without its tiling: dS = P * (dP - rowsum(dO * O)).
+    Returns the output, the pre-activation h and its normal cdf; the
+    backward pass keeps only those two and recomputes the GELU as h * cdf.
     """
-    p = np.matmul(q.data, kt.data)
-    p *= scale
-    _softmax_rows(p)
-    out = Tensor(np.matmul(p, v.data))
+    h = np.matmul(x, w1) + b1
+    # Python floats, not NumPy float64 scalars, keep float32 input float32
+    cdf = 0.5 * (1.0 + erf(h * (1.0 / math.sqrt(2.0))))
+    return np.matmul(h * cdf, w2) + b2, h, cdf
+
+
+def _ffn_backward(g, x, h, cdf, w1, b1, w2, b2):
+    """Accumulate the parameter gradients of `_ffn_forward`; return x's."""
+    _accumulate(w2, np.matmul(np.swapaxes(h * cdf, -1, -2), g))
+    _accumulate_rows(b2, g)
+    pdf = np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
+    gh = np.matmul(g, w2.data.T) * (cdf + h * pdf)
+    _accumulate(w1, np.matmul(np.swapaxes(x, -1, -2), gh))
+    _accumulate_rows(b1, gh)
+    return np.matmul(gh, w1.data.T)
+
+
+def ffn(x, w1, b1, w2, b2):
+    """linear(gelu(linear(x, w1, b1)), w2, b2) for x (..., K), exact erf GELU."""
+    if x.ndim < 2 or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+        raise ShapeError(f"ffn needs (..., K), (K, H) and (H, N) operands, got "
+                         f"{tuple(x.shape)}, {tuple(w1.shape)} and {tuple(w2.shape)}")
+    params = (w1, b1, w2, b2)
+    y, h, cdf = _ffn_forward(x.data, *(p.data for p in params))
+    out = Tensor(y)
 
     def back(g):
-        _accumulate(v, np.matmul(np.swapaxes(p, -1, -2), g))
-        ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        ds -= (g * out.data).sum(axis=-1, keepdims=True)
+        _accumulate(x, _ffn_backward(g, x.data, h, cdf, *params))
+
+    return _record(out, (x,) + params, back)
+
+
+def moe_ffn(rows, probs, groups, experts):
+    """Gated bank of expert FFNs over (N, D) rows; one tape node.
+
+    Expert e runs `ffn` on the rows `groups[e]` and scales each output row
+    by its gate probability probs[row, e], where probs holds N rows of E
+    probabilities in any leading shape.  The groups must be disjoint; rows
+    in no group come out zero.  Each expert gathers its rows once and writes
+    its gated rows straight into the one output buffer.
+    """
+    gates = probs.data.reshape(len(rows.data), -1)
+    params = [tuple(e[k] for k in ("w1", "b1", "w2", "b2")) for e in experts]
+    out = np.zeros_like(rows.data)
+    kept = []  # (expert, row indices, FFN output, h, cdf) per expert with rows
+    for e, idx in enumerate(groups):
+        if len(idx):
+            y, h, cdf = _ffn_forward(rows.data[idx], *(p.data for p in params[e]))
+            out[idx] = y * gates[idx, e][:, None]
+            kept.append((e, idx, y, h, cdf))
+
+    def back(g):
+        g_rows, g_gates = np.zeros_like(rows.data), np.zeros_like(gates)
+        for e, idx, y, h, cdf in kept:
+            ge = g[idx]
+            g_gates[idx, e] = (ge * y).sum(axis=1)
+            g_rows[idx] = _ffn_backward(ge * gates[idx, e][:, None], rows.data[idx], h, cdf,
+                                        *params[e])
+        _accumulate(rows, g_rows)
+        _accumulate(probs, g_gates.reshape(probs.data.shape))
+
+    return _record(Tensor(out), (rows, probs) + sum(params, ()), back)
+
+
+def attend(q, k, v, heads):
+    """Multi-head softmax(q_h @ k_h^T / sqrt(dh)) @ v_h over (B, L, D) q, k, v.
+
+    Head h owns features [h * dh, (h + 1) * dh) of D; heads are split and
+    merged through strided views, with no per-head copies.  The scores
+    become probabilities in place, and only those are kept.  The backward pass is
+    FlashAttention's without its tiling: dS = P * (dP - rowsum(dO * O)).
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % heads:
+        raise ShapeError(f"attend needs equal (B, L, D) q, k, v with D divisible by "
+                         f"{heads} heads, got {tuple(q.shape)}, {tuple(k.shape)}, {tuple(v.shape)}")
+    b, n, d = q.shape
+    scale = 1.0 / math.sqrt(d // heads)
+
+    def split(a):  # (B, L, D) -> (B, H, L, dh) view
+        return a.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
+
+    def merged(x, y):  # x @ y written straight into a (B, L, D) array
+        out = np.empty((b, n, d), dtype=q.data.dtype)
+        np.matmul(x, y, out=split(out))
+        return out
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    p *= scale
+    _softmax_rows(p)
+    out = Tensor(merged(p, vh))
+
+    def back(g):
+        gh = split(g)
+        ds = np.matmul(gh, np.swapaxes(vh, -1, -2))
+        ds -= (gh * split(out.data)).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        _accumulate(q, np.matmul(ds, np.swapaxes(kt.data, -1, -2)))
-        _accumulate(kt, np.matmul(np.swapaxes(q.data, -1, -2), ds))
+        _accumulate(v, merged(np.swapaxes(p, -1, -2), gh))
+        _accumulate(q, merged(ds, kh))
+        gkt = np.matmul(np.swapaxes(qh, -1, -2), ds)  # (B, H, dh, L)
+        _accumulate(k, gkt.transpose(0, 3, 1, 2).reshape(b, n, d))
 
-    return _record(out, (q, kt, v), back)
+    return _record(out, (q, k, v), back)
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,9 @@ class TrainConfig:
         for name in ("base_batch", "checkpoint_every", "log_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.warmup_epochs < 0:
-            raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        for name in ("warmup_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         # every comparison with NaN is False, so NaN fails each range
         for names, in_range, want in (
             (("base_lr", "gamma", "eps"), lambda x: 0 < x < math.inf, "finite and > 0"),

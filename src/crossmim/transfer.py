@@ -264,7 +264,7 @@ def finetune(registry, model_cfg, tcfg, task_sensors, samples, pretrained,
     Returns (params, losses): the adapted parameter table and the per-step
     task loss trajectory.
     """
-    cfg = TrainConfig(base_lr=lr, warmup_epochs=0)
+    cfg = TrainConfig(base_lr=lr, warmup_epochs=0, seed=seed)
     params = init_transfer_params(pretrained, registry, model_cfg, tcfg,
                                   task_sensors, seed)
     batch = min(batch_size, len(samples))

@@ -111,6 +111,52 @@ def attend_composite(q, kt, v, scale, g):
             np.swapaxes(p, -1, -2) @ g)
 
 
+def attend_heads_composite(q, k, v, heads, g):
+    """Multi-head attention over (B, L, D) q, k, v: each head's feature
+    slice runs through `attend_composite` on its own."""
+    dh = q.shape[-1] // heads
+    out, gq, gk, gv = (np.zeros_like(a) for a in (q, q, k, v))
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        out[..., sl], gq[..., sl], gkt, gv[..., sl] = attend_composite(
+            q[..., sl], np.swapaxes(k[..., sl], -1, -2), v[..., sl], 1.0 / math.sqrt(dh), g[..., sl])
+        gk[..., sl] = np.swapaxes(gkt, -1, -2)
+    return out, gq, gk, gv
+
+
+def ffn_composite(x, w1, b1, w2, b2, g):
+    """linear, exact erf GELU, linear."""
+    h = x @ w1 + b1
+    cdf = 0.5 * (1.0 + erf(h / math.sqrt(2.0)))
+    y, ga, gw2, gb2 = linear_composite(h * cdf, w2, b2, g)
+    gh = ga * (cdf + h * np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi))  # gelu'
+    _, gx, gw1, gb1 = linear_composite(x, w1, b1, gh)
+    return y, gx, gw1, gb1, gw2, gb2
+
+
+def moe_ffn_composite(rows, probs, groups, experts, g):
+    """Per expert e: gather rows groups[e], `ffn_composite` on them, scale
+    each output row by its gate probs[row, e], and scatter it back; rows in
+    no group are zero.  `experts` holds (w1, b1, w2, b2) per expert.
+    Returns the output, the rows and probs gradients, then each expert's
+    four parameter gradients."""
+    gates = probs.reshape(len(rows), -1)
+    out, g_rows, g_gates = np.zeros_like(rows), np.zeros_like(rows), np.zeros_like(gates)
+    param_grads = []
+    for e, idx in enumerate(groups):
+        for row in idx:
+            y, gx, *gp = ffn_composite(rows[row:row + 1], *experts[e], g[row:row + 1] * gates[row, e])
+            out[row] = y[0] * gates[row, e]
+            g_rows[row] = gx[0]
+            g_gates[row, e] = float((g[row] * y[0]).sum())
+            param_grads.append((e, gp))
+    per_expert = [[np.zeros_like(w) for w in weights] for weights in experts]
+    for e, gp in param_grads:
+        for total, part in zip(per_expert[e], gp):
+            total += part
+    return (out, g_rows, g_gates.reshape(probs.shape)) + tuple(a for ws in per_expert for a in ws)
+
+
 # ---------------------------------------------------------------------------
 # classification metrics
 

@@ -218,6 +218,16 @@ def test_parse_grid():
         _parse_grid("cross=low,high")
 
 
+@pytest.mark.parametrize("grid", [
+    "moe=nan", "moe=inf", "moe=2", "moe=0.5", "cross=nan", "cross=inf",
+])
+def test_bad_grid_value_exits_2(ws, tmp_path, capsys, grid):
+    assert main(["ablate", "--config", ws["cfg"], "--data", ws["data"],
+                 "--out", str(tmp_path / "x"), "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_format_table_alignment():
     table = format_table(["name", "a", "b"],
                          [["row1", 1.0, None], ["longer-row", float("inf"), 3]])

@@ -176,8 +176,7 @@ def test_moe_single_expert_reduces_to_plain_ffn(rng):
     gate_w = rng.normal(size=(8, 1)).astype(np.float32)
     combined, aux, report = moe_forward(T.Tensor(x), T.Tensor(gate_w), bank, 1.25)
     e = bank[0]
-    expect = T.gelu(T.Tensor(x) @ e["w1"] + T.reshape(e["b1"], (1, -1))) @ e["w2"] \
-        + T.reshape(e["b2"], (1, -1))
+    expect = T.ffn(T.Tensor(x), e["w1"], e["b1"], e["w2"], e["b2"])
     # softmax over one logit is exactly 1, so gating is a no-op
     np.testing.assert_array_equal(combined.data, expect.data)
     assert float(aux.data) == 1.0

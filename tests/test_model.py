@@ -13,7 +13,7 @@ from crossmim.model import (decoder_of, embedder_of, init_params, param_rng,
                             reconstruct_sample, round_loss, shared_tokens)
 from crossmim.sensors import (MultisensorBatch, desk_registry, gen_synthetic,
                               pair_registry)
-from crossmim.training import STREAM_CROSS, STREAM_MASK, stream_rng
+from crossmim.training import STREAM_CROSS, STREAM_MASK, TrainConfig, Trainer, stream_rng
 
 import oracles
 
@@ -245,3 +245,17 @@ def test_criterion_1_loss_records_every_model_primitive():
         on_tape = {fn.__qualname__.split(".")[0] for _, fn in tape.nodes}
     assert {"linear", "attend", "layer_norm", "softmax"} <= on_tape
     assert recording - on_tape == {"bce_with_logits", "softmax_cross_entropy", "concat", "neg"}
+
+
+def test_desk_round_tape_budget():
+    """One round at the benchmark's desk-pretrain shape (five sensors, 32x32,
+    width 32, depth 4, MoE, base batch 8) records each feed-forward, expert
+    bank and attention as one node, about 480 nodes in all."""
+    ds = gen_synthetic(desk_registry(), 32, 32, 32, seed=7)
+    trainer = Trainer(ds, ModelConfig(), TrainConfig(base_batch=8, seed=7))
+    with T.fresh_tape() as tape:
+        trainer.loss(trainer.state.params, trainer.next_round())
+        kinds = {fn.__qualname__.split(".")[0] for _, fn in tape.nodes}
+    assert len(tape) <= 500
+    assert {"ffn", "moe_ffn", "attend"} <= kinds
+    assert not kinds & {"gelu", "put_rows"}

@@ -157,13 +157,14 @@ def test_grad_broadcasting(rng):
 
 def test_grad_unary_ops(rng):
     a = rng.normal(size=(3, 4))
-    check_op(lambda x: weighted(T.gelu(x)), a)
     check_op(lambda x: weighted(T.abs_(x)), a)  # entries away from zero
 
 
 def test_forward_gelu_matches_erf_formula(rng):
+    # with identity weights and zero biases, ffn is the GELU alone
     x = rng.normal(size=(5, 5))
-    out = T.gelu(T.Tensor(x, dtype=np.float64))
+    eye, zero = T.Tensor(np.eye(5), dtype=np.float64), T.Tensor(np.zeros(5), dtype=np.float64)
+    out = T.ffn(T.Tensor(x, dtype=np.float64), eye, zero, eye, zero)
     expect = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
     np.testing.assert_allclose(out.data, expect, rtol=1e-12)
 
@@ -215,19 +216,11 @@ def test_grad_take_rows_repeats_accumulate(rng):
     np.testing.assert_allclose(x.grad, [[0, 0], [3, 3], [0, 0]])
 
 
-def test_grad_put_rows_and_concat(rng):
-    rows = rng.normal(size=(2, 3))
-    check_op(lambda r: weighted(T.put_rows([3, 0], r, 5)), rows)
+def test_grad_concat(rng):
     a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
     check_op(lambda x, y: weighted(T.concat([x, y], axis=1)), a, b)
     c, d = rng.normal(size=(2, 3)), rng.normal(size=(4, 3))
     check_op(lambda x, y: weighted(T.concat([x, y], axis=0)), c, d)
-
-
-def test_put_rows_forward_scatters_into_zeros():
-    rows = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = T.put_rows([2, 0], rows, 4)
-    np.testing.assert_allclose(out.data, [[3, 4], [0, 0], [1, 2], [0, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +239,48 @@ def test_grad_linear_attend(rng):
     w, b = rng.normal(size=(4, 3)), rng.normal(size=3)
     check_op(lambda x, ww, bb: weighted(T.linear(x, ww, bb)), rng.normal(size=(5, 4)), w, b)
     check_op(lambda x, ww, bb: weighted(T.linear(x, ww, bb)), rng.normal(size=(2, 5, 4)), w, b)
-    q, kt, v = rng.normal(size=(2, 2, 5, 3)), rng.normal(size=(2, 2, 3, 5)), rng.normal(size=(2, 2, 5, 4))
-    check_op(lambda a, b, c: weighted(T.attend(a, b, c, 0.7)), q, kt, v)
+    q, k, v = (rng.normal(size=(2, 5, 6)) for _ in range(3))
+    check_op(lambda a, b, c: weighted(T.attend(a, b, c, 2)), q, k, v)
+
+
+EXPERT_KEYS = ("w1", "b1", "w2", "b2")
+
+
+def ffn_arrays(rng, d=6, hidden=5):
+    return (rng.normal(size=(d, hidden)) * 0.7, rng.normal(size=hidden) * 0.3,
+            rng.normal(size=(hidden, d)) * 0.7, rng.normal(size=d) * 0.3)
+
+
+def moe_case(rng, groups, experts=3, d=6):
+    """(rows, probs, expert weights...) arrays and the fused op over tensors."""
+    n = 1 + max(int(i) for idx in groups for i in idx)
+    arrays = (rng.normal(size=(n, d)), rng.random((n, experts)) + 0.1) + \
+        sum((ffn_arrays(rng, d) for _ in range(experts)), ())
+
+    def fused(rows, probs, *weights):
+        bank = [dict(zip(EXPERT_KEYS, weights[4 * e:4 * e + 4])) for e in range(experts)]
+        return T.moe_ffn(rows, probs, groups, bank)
+
+    return arrays, fused
+
+
+def test_grad_ffn_moe_ffn(rng):
+    check_op(lambda *a: weighted(T.ffn(*a)), rng.normal(size=(2, 4, 6)), *ffn_arrays(rng))
+    # rows 1 and 6 are dropped and expert 2 receives none
+    groups = [np.array([0, 4]), np.array([2, 3, 5]), np.array([], dtype=np.intp)]
+    arrays, fused = moe_case(rng, groups)
+    check_op(lambda *a: weighted(fused(*a)), *arrays)
+
+
+def test_moe_ffn_forward_scatters_gated_rows_into_zeros(rng):
+    groups = [np.array([3]), np.array([0, 1])]
+    arrays, fused = moe_case(rng, groups, experts=2)
+    out = fused(*(T.Tensor(a, dtype=np.float64) for a in arrays)).data
+    rows, probs, weights = arrays[0], arrays[1], arrays[2:]
+    for e, idx in enumerate(groups):
+        y = T.ffn(*(T.Tensor(a) for a in (rows[idx],) + weights[4 * e:4 * e + 4]))
+        np.testing.assert_array_equal(out[idx], y.data * probs[idx, e][:, None])
+    np.testing.assert_array_equal(out[2], np.zeros(6))
 
 
 def fused_and_composite(name, rng):
@@ -259,12 +292,19 @@ def fused_and_composite(name, rng):
         return (x, gamma, beta), T.layer_norm, oracles.layer_norm_composite
     if name == "linear":
         return (x, rng.normal(size=(8, 5)), beta[:5]), T.linear, oracles.linear_composite
-    q, kt, v = rng.normal(size=(2, 3, 6, 4)), rng.normal(size=(2, 3, 4, 6)), rng.normal(size=(2, 3, 6, 5))
-    return ((q * 2.0, kt, v), lambda a, b, c: T.attend(a, b, c, 0.5),
-            lambda a, b, c, g: oracles.attend_composite(a, b, c, 0.5, g))
+    if name == "ffn":
+        return (x * 0.5,) + ffn_arrays(rng, d=8), T.ffn, oracles.ffn_composite
+    if name == "moe_ffn":
+        groups = [np.array([7, 0, 4]), np.array([2, 3]), np.array([6, 1])]  # row 5 dropped
+        arrays, fused = moe_case(rng, groups)
+        return arrays, fused, lambda rows, probs, *rest: oracles.moe_ffn_composite(
+            rows, probs, groups, [rest[4 * e:4 * e + 4] for e in range(3)], rest[-1])
+    q, k, v = rng.normal(size=(2, 6, 8)) * 2.0, rng.normal(size=(2, 6, 8)), rng.normal(size=(2, 6, 8))
+    return ((q, k, v), lambda a, b, c: T.attend(a, b, c, 2),
+            lambda a, b, c, g: oracles.attend_heads_composite(a, b, c, 2, g))
 
 
-@pytest.mark.parametrize("name", ["softmax", "layer_norm", "linear", "attend"])
+@pytest.mark.parametrize("name", ["softmax", "layer_norm", "linear", "ffn", "moe_ffn", "attend"])
 def test_fused_layer_matches_composite_oracle(name, rng):
     arrays, fused, composite = fused_and_composite(name, rng)
     leaves = [T.Tensor(a, dtype=np.float64, requires_grad=True) for a in arrays]
@@ -277,7 +317,7 @@ def test_fused_layer_matches_composite_oracle(name, rng):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("name", ["linear", "layer_norm"])
+@pytest.mark.parametrize("name", ["linear", "layer_norm", "ffn"])
 def test_batch_matches_single_sample_calls_bitwise_in_float32(name, rng):
     arrays, fused, _ = fused_and_composite(name, rng)
     g = rng.normal(size=fused(*[T.Tensor(a) for a in arrays]).shape)
@@ -304,11 +344,22 @@ def test_batch_matches_single_sample_calls_bitwise_in_float32(name, rng):
 
 
 def test_attend_rejects_nan_scores(rng):
-    q = rng.normal(size=(1, 2, 4, 3))
-    q[0, 1, 2, 0] = np.nan
+    q = rng.normal(size=(1, 4, 6))
+    q[0, 2, 4] = np.nan  # one score row of head 1
     with pytest.raises(NumericError, match="softmax received NaN input"):
-        T.attend(T.Tensor(q), T.Tensor(rng.normal(size=(1, 2, 3, 4))),
-                 T.Tensor(rng.normal(size=(1, 2, 4, 3))), 0.5)
+        T.attend(T.Tensor(q), T.Tensor(rng.normal(size=(1, 4, 6))),
+                 T.Tensor(rng.normal(size=(1, 4, 6))), 2)
+
+
+def test_fused_layer_shape_errors():
+    x = T.Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeError, match="ffn"):
+        T.ffn(x, T.Tensor(np.ones((3, 5))), T.Tensor(np.ones(5)),
+              T.Tensor(np.ones((5, 4))), T.Tensor(np.ones(4)))
+    with pytest.raises(ShapeError, match="attend"):
+        T.attend(x, x, x, 3)
+    with pytest.raises(ShapeError, match="attend"):
+        T.attend(x, x, T.Tensor(np.ones((2, 4, 4))), 2)
 
 
 def test_softmax_rows_sum_to_one_and_reject_nan(rng):

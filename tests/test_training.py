@@ -57,7 +57,7 @@ def test_train_config_validation():
         TrainConfig(base_batch=0)
     with pytest.raises(ConfigError):
         TrainConfig(warmup_epochs=3, epochs=2)
-    for name, value in [("warmup_epochs", -1), ("log_every", 0), ("checkpoint_every", 0),
+    for name, value in [("warmup_epochs", -1), ("seed", -1), ("log_every", 0), ("checkpoint_every", 0),
                         ("base_lr", 0.0), ("base_lr", float("nan")), ("base_lr", float("inf")),
                         ("warmup_lr", -1e-6), ("warmup_lr", float("inf")),
                         ("gamma", 0.0), ("gamma", float("nan")),

@@ -290,6 +290,14 @@ def test_finetune_frozen_trunk_only_moves_head():
     assert not np.array_equal(params["head.w"].data, init_head.data)
 
 
+def test_finetune_rejects_negative_seed():
+    ds = dataset(n=4)
+    tcfg = TransferConfig(head="multilabel", num_classes=2)
+    with pytest.raises(ConfigError, match="seed"):
+        finetune(REG, MCFG, tcfg, (0,), make_task(ds, tcfg, (0,)), pretrained=None,
+                 steps=1, lr=1e-3, batch_size=4, seed=-1)
+
+
 def test_finetune_from_scratch_baseline_runs():
     ds = dataset(n=4)
     tcfg = TransferConfig(head="multilabel", num_classes=2)

@@ -36,10 +36,8 @@ _CODE_FOR_KIND = {
 
 
 def save_tensors(path, named):
-    """Write an ordered {name: ndarray} mapping; dtypes outside the format
-    are rejected rather than silently converted.  The bytes go to a temp file
-    beside `path` that then replaces it, so a failed write leaves any
-    previous file at `path` intact."""
+    """Write an ordered {name: ndarray} mapping atomically; dtypes outside
+    the format are rejected rather than silently converted."""
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", VERSION)
@@ -58,10 +56,17 @@ def save_tensors(path, named):
             out += struct.pack("<I", dim)
         out += np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
+    write_atomic(path, bytes(out))
+
+
+def write_atomic(path, data):
+    """Write `data` (bytes, or str as UTF-8) to a temp file beside `path`
+    that then replaces it, so a failed write leaves any previous file at
+    `path` intact and no temp file behind."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(bytes(out))
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -4,6 +4,8 @@ Subcommands: gen-data, pretrain, ablate, finetune, evaluate, reconstruct.
 Every command reads an optional key=value config file plus repeatable
 `--set key=value` overrides, writes the fully-resolved config into --out
 before heavy work, and finishes by writing a manifest of produced files.
+Every output except the append-only logs is written atomically, through a
+temp file that then replaces it.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or data-format error,
 4 numeric failure (non-finite loss; a diagnostic dump path is printed),
@@ -52,8 +54,7 @@ def _run_config(args):
 
 def _prepare_out(args, run):
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "resolved-config.txt"), "w", encoding="utf-8") as f:
-        f.write(run.to_text())
+    ckpt.write_atomic(os.path.join(args.out, "resolved-config.txt"), run.to_text())
 
 
 def _write_produced(out_dir):
@@ -63,8 +64,8 @@ def _write_produced(out_dir):
             if name == "produced-files.txt":
                 continue
             produced.append(os.path.relpath(os.path.join(root, name), out_dir))
-    with open(os.path.join(out_dir, "produced-files.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(sorted(produced)) + "\n")
+    ckpt.write_atomic(os.path.join(out_dir, "produced-files.txt"),
+                      "\n".join(sorted(produced)) + "\n")
 
 
 def _manifest_path(data_arg):
@@ -101,11 +102,21 @@ def format_table(headers, rows):
     return "\n".join(out) + "\n"
 
 
-def _eval_records(dataset, k):
-    records = []
-    for sid in sorted(dataset.by_sensor):
-        records.extend(dataset.by_sensor[sid][:k])
-    return records
+def _write_json(path, obj):
+    ckpt.write_atomic(path, json.dumps(json_safe(obj), indent=2))
+
+
+def _evaluate(params, model_cfg, dataset, run):
+    """(report, cross_l1) on the first `eval.samples` records of every
+    sensor: reconstruction_report and cross_reconstruction_l1, each on its
+    own evaluation stream."""
+    records = [r for sid in sorted(dataset.by_sensor)
+               for r in dataset.by_sensor[sid][:run["eval.samples"]]]
+    report = reconstruction_report(params, model_cfg, dataset, records,
+                                   stream_rng(run["seed"], STREAM_EVAL))
+    cross_l1 = cross_reconstruction_l1(params, model_cfg, dataset, records,
+                                       stream_rng(run["seed"], STREAM_EVAL, 1))
+    return report, cross_l1
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +224,7 @@ def cmd_ablate(args):
             trainer.train_epochs()
         finally:
             trainer.close()
-        records = _eval_records(dataset, run["eval.samples"])
-        report = reconstruction_report(trainer.state.params, model_cfg, dataset, records,
-                                       stream_rng(run["seed"], STREAM_EVAL))
-        cross_l1 = cross_reconstruction_l1(trainer.state.params, model_cfg, dataset, records,
-                                           stream_rng(run["seed"], STREAM_EVAL, 1))
+        report, cross_l1 = _evaluate(trainer.state.params, model_cfg, dataset, run)
         agg = {
             key: float(np.mean([per[key] for per in report.values() if key in per]))
             for key in ("masked_l1", "mae", "psnr", "ssim")
@@ -232,10 +239,8 @@ def cmd_ablate(args):
 
     table = format_table(["strategy", "masked_l1", "cross_l1", "mae", "psnr", "ssim"], rows)
     print(table, end="")
-    with open(os.path.join(args.out, "ablation-table.txt"), "w", encoding="utf-8") as f:
-        f.write(table)
-    with open(os.path.join(args.out, "ablation.json"), "w", encoding="utf-8") as f:
-        json.dump(json_safe(results), f, indent=2)
+    ckpt.write_atomic(os.path.join(args.out, "ablation-table.txt"), table)
+    _write_json(os.path.join(args.out, "ablation.json"), results)
     _write_produced(args.out)
     return 0
 
@@ -277,8 +282,7 @@ def cmd_finetune(args):
     })
     ckpt.save_tensors(os.path.join(args.out, "head.msgm"), named)
     summary = {"initial_loss": losses[0], "final_loss": losses[-1], **scores}
-    with open(os.path.join(args.out, "finetune-summary.json"), "w", encoding="utf-8") as f:
-        json.dump(json_safe(summary), f, indent=2)
+    _write_json(os.path.join(args.out, "finetune-summary.json"), summary)
     print(f"task sensors: {list(task_sensors)}  mode: {tcfg.mode}  head: {tcfg.head}")
     print(f"loss: {losses[0]:.6f} -> {losses[-1]:.6f} over {len(losses)} steps")
     for k, val in scores.items():
@@ -293,11 +297,7 @@ def cmd_evaluate(args):
     dataset = load_manifest(_manifest_path(args.data))
     mcfg = run.model_config()
     params = load_pretrained(_checkpoint_path(args.checkpoint), dataset.registry, mcfg)
-    records = _eval_records(dataset, run["eval.samples"])
-    report = reconstruction_report(params, mcfg, dataset, records,
-                                   stream_rng(run["seed"], STREAM_EVAL))
-    cross_l1 = cross_reconstruction_l1(params, mcfg, dataset, records,
-                                       stream_rng(run["seed"], STREAM_EVAL, 1))
+    report, cross_l1 = _evaluate(params, mcfg, dataset, run)
     rows = []
     for sid, vals in sorted(report.items()):
         name = dataset.registry[sid].name
@@ -310,10 +310,8 @@ def cmd_evaluate(args):
     payload = {"per_sensor": {dataset.registry[sid].name: vals
                               for sid, vals in report.items()},
                "cross_l1": cross_l1}
-    with open(os.path.join(args.out, "metric-report.json"), "w", encoding="utf-8") as f:
-        json.dump(json_safe(payload), f, indent=2)
-    with open(os.path.join(args.out, "metric-table.txt"), "w", encoding="utf-8") as f:
-        f.write(table)
+    _write_json(os.path.join(args.out, "metric-report.json"), payload)
+    ckpt.write_atomic(os.path.join(args.out, "metric-table.txt"), table)
     _write_produced(args.out)
     return 0
 
@@ -353,8 +351,7 @@ def cmd_reconstruct(args):
     if wrote_png:
         print(f"wrote {base}.png")
     if stats:
-        with open(base + "-stats.json", "w", encoding="utf-8") as f:
-            json.dump(json_safe(stats), f, indent=2)
+        _write_json(base + "-stats.json", stats)
         print(f"wrote {base}-stats.json")
     _write_produced(args.out)
     return 0

@@ -1,10 +1,12 @@
 """Per-sensor reconstruction decoders and target selection.
 
-Each sensor owns a single linear head projecting trunk features back to
-pixel space.  A sample either reconstructs itself or, when a colocated
-partner exists, reconstructs the partner image through the partner's
-decoder; the choice is an independent coin flip per sample.  Either way
-the loss lives on the source sample's masked pixel footprint.
+Each sensor owns a single linear head projecting (B, L, width) trunk
+features back to pixel space, read from the parameter table as
+`decoder.<sensor_id>.proj` (P*P*C_i, width) and `.bias` (P*P*C_i,).  A
+sample either reconstructs itself or, when a colocated partner exists,
+reconstructs the partner image through the partner's decoder; the choice
+is an independent coin flip per sample.  Either way the loss lives on the
+source sample's masked pixel footprint.
 """
 
 from dataclasses import dataclass
@@ -14,20 +16,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ShapeError
 from .masking import to_pixel_mask
-
-
-@dataclass(frozen=True)
-class SensorDecoder:
-    """Linear pixel head owned by one sensor.
-
-    proj: (P*P*C_i, width); bias: (P*P*C_i,).
-    """
-
-    sensor_id: int
-    proj: T.Tensor
-    bias: T.Tensor
-    channels: int
-    patch_size: int
 
 
 @dataclass(frozen=True)
@@ -45,16 +33,19 @@ class ReconstructionPlan:
         return self.target_sensor != self.source_sensor
 
 
-def decode(features, decoder, width, height):
-    """Project (L, C_m) features, or a (B, L, C_m) batch, to the decoder's
-    image space (C, W, H), or (B, C, W, H)."""
-    if features.ndim not in (2, 3) or features.shape[-1] != decoder.proj.shape[1]:
+def decode(features, params, sensor_id, cfg):
+    """Project (B, L, width) features through sensor `sensor_id`'s pixel
+    head to a (B, C, W, H) batch in its image space; the ModelConfig `cfg`
+    gives the patch and image sizes."""
+    proj, bias = params[f"decoder.{sensor_id}.proj"], params[f"decoder.{sensor_id}.bias"]
+    if features.ndim != 3 or features.shape[-1] != proj.shape[1]:
         raise ShapeError(
-            f"decoder of sensor {decoder.sensor_id} expects feature width "
-            f"{decoder.proj.shape[1]}, got {tuple(features.shape)}"
+            f"decoder of sensor {sensor_id} expects (B, L, {proj.shape[1]}) features, "
+            f"got {tuple(features.shape)}"
         )
-    tokens = T.linear(features, T.transpose(decoder.proj), decoder.bias)
-    return T.unpatchify(tokens, decoder.patch_size, decoder.channels, width, height)
+    tokens = T.linear(features, T.transpose(proj), bias)
+    p = cfg.patch_size
+    return T.unpatchify(tokens, p, proj.shape[0] // (p * p), cfg.image_w, cfg.image_h)
 
 
 def choose_targets(records, dataset, mask_plans, p_cross, rng):

@@ -1,7 +1,8 @@
 """Shared transformer trunk with sparse top-1 mixture-of-experts blocks.
 
-Every sensor's token sequence passes through one parameter set: pre-norm
-blocks `x += attention(ln(x))` then `x += feedforward(ln(x))`, where the
+Every sensor's (B, L, width) token batch passes through one parameter set,
+read from the table under `encoder.block<k>.`: pre-norm blocks
+`x += attention(ln(x))` then `x += feedforward(ln(x))`, where the
 feed-forward of selected blocks is a gated bank of experts.  Each token is
 routed to its argmax expert, subject to a per-expert capacity; overflow
 tokens skip the expert entirely and ride the residual connection.
@@ -51,16 +52,10 @@ def expert_capacity(n_tokens, num_experts, capacity_factor):
     return max(1, int(math.floor(capacity_factor * n_tokens / num_experts)))
 
 
-def _batched(x):
-    """(L, width) -> (1, L, width); a (B, L, width) batch is returned as is."""
-    return T.reshape(x, (-1,) + tuple(x.shape[-2:]))
-
-
 def attention(x, p, heads):
-    """Multi-head self-attention over (L, width) or (B, L, width) sequences."""
-    xb = _batched(x)
-    q, k, v = (T.linear(xb, p["w" + name], p["b" + name]) for name in "qkv")
-    return T.reshape(T.linear(T.attend(q, k, v, heads), p["wo"], p["bo"]), x.shape)
+    """Multi-head self-attention over (B, L, width) sequences."""
+    q, k, v = (T.linear(x, p["w" + name], p["b" + name]) for name in "qkv")
+    return T.linear(T.attend(q, k, v, heads), p["wo"], p["bo"])
 
 
 def _dispatch(assign, n_tokens, num_experts, capacity):
@@ -99,7 +94,7 @@ def moe_forward(x, gate_w, experts, capacity_factor=1.25):
         raise ConfigError("moe_forward needs at least one expert")
     if x.shape[-2] < 1:
         raise ShapeError("moe_forward needs at least one token")
-    xb = _batched(x)
+    xb = T.reshape(x, (-1,) + tuple(x.shape[-2:]))  # one sequence is a batch of one
     b, n_tokens, width = xb.shape
     rows = T.reshape(xb, (b * n_tokens, width))
 
@@ -137,23 +132,21 @@ def _check_finite(x, block_index, stage):
         )
 
 
-def encode(tokens, config, params):
-    """Run the shared trunk over (L, width) or (B, L, width) token sequences.
+def encode(x, config, params):
+    """Run the shared trunk over a (B, L, width) batch of token sequences.
 
     `config` is the ModelConfig, whose width, depth, heads,
     moe_block_indices, num_experts and capacity_factor shape the trunk;
     block k reads its parameters under `encoder.block<k>.`.
 
     Returns (features, aux_loss, reports): aux_loss is the tape sum of
-    balance losses over MoE blocks per sample, shaped tokens.shape[:-2] (a
-    zero constant when there are none); reports holds one RoutingReport per
+    balance losses over MoE blocks per sample, shaped (B,) (a zero constant
+    when there are none); reports holds one RoutingReport per
     (sample, MoE block), sample-major.
     """
-    if tokens.ndim not in (2, 3) or tokens.shape[-1] != config.width:
-        raise ShapeError(f"encode expects (L, {config.width}) or (B, L, {config.width}) "
-                         f"tokens, got {tuple(tokens.shape)}")
-    x = _batched(tokens)
-    aux_total = T.constant(np.zeros(x.shape[:1], dtype=tokens.dtype))
+    if x.ndim != 3 or x.shape[-1] != config.width:
+        raise ShapeError(f"encode expects (B, L, {config.width}) tokens, got {tuple(x.shape)}")
+    aux_total = T.constant(np.zeros(x.shape[:1], dtype=x.dtype))
     per_block = []
     for k in range(config.depth):
         b = f"encoder.block{k}."
@@ -174,4 +167,4 @@ def encode(tokens, config, params):
         x = x + y
         _check_finite(x, k, "feedforward")
     reports = [r for sample in zip(*per_block) for r in sample]
-    return T.reshape(x, tokens.shape), T.reshape(aux_total, tokens.shape[:-2]), reports
+    return x, aux_total, reports

@@ -12,9 +12,6 @@ import numpy as np
 
 from .errors import ShapeError
 
-DEFAULT_MASK_UNIT = 32
-DEFAULT_MASK_RATIO = 0.6
-
 
 @dataclass(frozen=True)
 class MaskPlan:

@@ -9,10 +9,11 @@ Parameters live in one flat ordered dict keyed by stable names:
     encoder.block<k>.expert<e>.w1 ...
     decoder.<sensor_id>.proj / .bias
 
-The same names appear in checkpoints, so initialization order and naming
-are part of the persistence contract.  Each parameter is initialized from
-its own RNG stream derived from (seed, crc32(name)), which makes init
-independent of creation order and of which modules exist.
+Every layer reads its weights from this table by name, and the same names
+appear in checkpoints, so initialization order and naming are part of the
+persistence contract.  Each parameter is initialized from its own RNG
+stream derived from (seed, crc32(name)), which makes init independent of
+creation order and of which modules exist.
 """
 
 import zlib
@@ -20,8 +21,8 @@ import zlib
 import numpy as np
 
 from . import tensor as T
-from .decoders import SensorDecoder, choose_targets, reconstruction_loss, decode
-from .embedder import SensorEmbedder, SharedTokens, embed
+from .decoders import choose_targets, reconstruction_loss, decode
+from .embedder import embed
 from .encoder import encode
 from .errors import NumericError
 from .masking import draw_mask, to_token_mask
@@ -89,48 +90,25 @@ def init_params(registry, cfg, seed, dtype=np.float32):
     return params
 
 
-def embedder_of(params, sensor_id):
-    return SensorEmbedder(
-        sensor_id=sensor_id,
-        kernel=params[f"embedder.{sensor_id}.kernel"],
-        bias=params[f"embedder.{sensor_id}.bias"],
-    )
-
-
-def shared_tokens(params):
-    return SharedTokens(mask_token=params["shared.mask_token"], pos_embed=params["shared.pos_embed"])
-
-
-def decoder_of(params, sensor_id, patch_size):
-    proj = params[f"decoder.{sensor_id}.proj"]
-    return SensorDecoder(
-        sensor_id=sensor_id,
-        proj=proj,
-        bias=params[f"decoder.{sensor_id}.bias"],
-        channels=proj.shape[0] // (patch_size * patch_size),
-        patch_size=patch_size,
-    )
-
-
-def _encode_masked(params, cfg, images, sensor_id, token_mask):
-    x = images if isinstance(images, T.Tensor) else T.constant(images)
-    tokens = embed(x, embedder_of(params, sensor_id), shared_tokens(params),
-                   token_mask=token_mask, image_sensor_id=sensor_id)
-    return encode(tokens, cfg, params)
-
-
 def reconstruct_sample(params, cfg, image, sensor_id, token_mask, target_sensor):
     """Masked embed -> shared encode -> target sensor's decoder.
 
-    `image` is one (C, W, H) image with an (L,) token mask, or a batch
-    (B, C, W, H) of the same sensor with (B, L) masks, which runs the trunk
-    once for the whole batch.  Returns the prediction, (C_t, W, H) or
-    (B, C_t, W, H), the balance loss per sample, and the routing reports,
-    one per (sample, MoE block), sample-major.
+    `image` is a batch (B, C, W, H) of one sensor with (B, L) token masks,
+    which runs the trunk once for the whole batch, or one (C, W, H) image
+    with an (L,) mask, which runs as a batch of one.  Returns the
+    prediction, (B, C_t, W, H) or (C_t, W, H), the balance loss per sample,
+    (B,) or a scalar, and the routing reports, one per (sample, MoE block),
+    sample-major.
     """
-    feats, aux, reports = _encode_masked(params, cfg, image, sensor_id, token_mask)
-    pred = decode(feats, decoder_of(params, target_sensor, cfg.patch_size),
-                  cfg.image_w, cfg.image_h)
+    x = image if isinstance(image, T.Tensor) else T.constant(image)
+    single = x.ndim == 3
+    if single:
+        x, token_mask = T.reshape(x, (1,) + x.shape), np.asarray(token_mask)[None]
+    feats, aux, reports = encode(embed(x, params, f"embedder.{sensor_id}.", token_mask),
+                                 cfg, params)
+    pred = decode(feats, params, target_sensor, cfg)
+    if single:
+        return T.reshape(pred, pred.shape[1:]), T.reshape(aux, ()), reports
     return pred, aux, reports
 
 
@@ -166,14 +144,14 @@ def round_loss(params, cfg, dataset, batch, mask_rng, cross_rng, p_cross=None):
         images = np.stack([dataset.image(r.sample_id) for r in records])
         token_masks = np.stack([to_token_mask(plans[r.sample_id], cfg.patch_size)
                                 for r in records])
-        feats, aux, reports = _encode_masked(params, cfg, images, sensor_id, token_masks)
+        tokens = embed(T.constant(images), params, f"embedder.{sensor_id}.", token_masks)
+        feats, aux, reports = encode(tokens, cfg, params)
         all_reports.extend(reports)
         mim_sum = None
         for target_sensor in sorted({t.target_sensor for t in targets}):
             rows = [i for i, t in enumerate(targets) if t.target_sensor == target_sensor]
             group = feats if len(rows) == len(targets) else T.take_rows(feats, rows)
-            pred = decode(group, decoder_of(params, target_sensor, cfg.patch_size),
-                          cfg.image_w, cfg.image_h)
+            pred = decode(group, params, target_sensor, cfg)
             loss = T.reduce_sum(reconstruction_loss(pred, [targets[i] for i in rows]))
             mim_sum = loss if mim_sum is None else mim_sum + loss
         for t in targets:

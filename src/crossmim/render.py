@@ -1,11 +1,15 @@
 """Rendering reconstructions as image grids.
 
-Grids are written as binary PPM always, and additionally as PNG when
-Pillow is importable.  Rows are: input with masked units grayed out,
-model prediction, ground truth; columns are samples.
+Grids are written atomically as binary PPM always, and additionally as
+PNG when Pillow is importable.  Rows are: input with masked units grayed
+out, model prediction, ground truth; columns are samples.
 """
 
+import io
+
 import numpy as np
+
+from .checkpoint import write_atomic
 
 GAP = 2  # separator pixels between grid cells
 
@@ -54,9 +58,8 @@ def compose_grid(rows):
 def write_ppm(path, image):
     """Binary P6 PPM of an (H, W, 3) uint8 array."""
     h, w, _ = image.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(np.ascontiguousarray(image).tobytes())
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii")
+                 + np.ascontiguousarray(image).tobytes())
 
 
 def write_png(path, image):
@@ -65,7 +68,9 @@ def write_png(path, image):
         from PIL import Image
     except ImportError:
         return False
-    Image.fromarray(image, mode="RGB").save(path)
+    buf = io.BytesIO()
+    Image.fromarray(image, mode="RGB").save(buf, format="PNG")
+    write_atomic(path, buf.getvalue())
     return True
 
 

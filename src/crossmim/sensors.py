@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
+from .checkpoint import write_atomic
 from .errors import ConfigError, DataFormatError, ShapeError
 
 MANIFEST_HEADER = "MSGFM-DATA v1"
@@ -313,16 +314,15 @@ def gen_synthetic(registry, n_per_sensor, width, height, seed):
 
 def save_manifest(dataset, path):
     """Write a text manifest plus a `.bin` sidecar of raw little-endian f32
-    image payloads; the round trip is bit exact."""
+    image payloads, each atomically; the round trip is bit exact."""
     blob_path = path + ".bin"
     offsets = []
-    with open(blob_path, "wb") as blob:
-        pos = 0
-        for img in dataset.images:
-            raw = np.ascontiguousarray(img, dtype="<f4").tobytes()
-            blob.write(raw)
-            offsets.append((pos, img.size))
-            pos += len(raw)
+    pos = 0
+    for img in dataset.images:
+        offsets.append((pos, img.size))
+        pos += 4 * img.size
+    write_atomic(blob_path, b"".join(np.ascontiguousarray(img, dtype="<f4").tobytes()
+                                     for img in dataset.images))
     lines = [MANIFEST_HEADER]
     lines.append(f"blob {os.path.basename(blob_path)} {pos}")
     lines.append(f"size {dataset.width} {dataset.height}")
@@ -336,8 +336,7 @@ def save_manifest(dataset, path):
     for r, (off, count) in zip(dataset.records, offsets):
         pair = "-" if r.partner_sample_id is None else str(r.partner_sample_id)
         lines.append(f"sample {r.sample_id} {r.sensor_id} {pair} {off} {count}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _manifest_fail(msg):

@@ -337,8 +337,8 @@ class Trainer:
                 "round_sensors": {str(k): len(val) for k, val in batch.items()}}
         if self.dump_dir:
             path = os.path.join(self.dump_dir, f"diagnostic-step{self.state.step}.json")
-            with open(path, "w", encoding="utf-8") as f:
-                json.dump({"error": str(err), "diagnostics": json_safe(diag)}, f, indent=2)
+            ckpt.write_atomic(path, json.dumps({"error": str(err),
+                                                "diagnostics": json_safe(diag)}, indent=2))
             diag["dump_path"] = path
         return NumericError(str(err), diagnostics=diag)
 

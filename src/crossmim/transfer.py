@@ -6,8 +6,12 @@ Two ways of feeding a multisensor sample to the pretrained trunk:
   through the shared encoder, is mean-pooled, and the pooled features are
   concatenated before the head.
 - channel_stack: all sensors are stacked along the channel axis and pass
-  through one fused embedder (initialized from the pretrained per-sensor
-  kernels, which reproduces their summed response exactly at step 0).
+  through one fused embedder, `transfer.embed.` in the parameter table
+  (initialized from the pretrained per-sensor kernels, which reproduces
+  their summed response exactly at step 0).
+
+Either way a batch of samples runs through the trunk as one (B, L, width)
+pass per embedder.
 
 No masking is applied during transfer.  Heads: a linear multilabel
 classifier over pooled features, or dense per-token projections that
@@ -20,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .embedder import embed, stack_embedders_for_transfer, SensorEmbedder
+from .embedder import embed, stacked_embedder
 from .encoder import encode
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .masking import draw_mask, to_pixel_mask, to_token_mask
 from .metrics import mae, map_score, mean_iou, psnr, sam_degrees, ssim
-from .model import INIT_STD, embedder_of, init_params, param_rng, reconstruct_sample, shared_tokens
+from .model import INIT_STD, init_params, param_rng, reconstruct_sample
 from .training import STREAM_TASK, SensorSampler, TrainConfig, Trainer
 
 MODES = ("shared_encoder_concat", "channel_stack")
@@ -102,14 +106,9 @@ def init_transfer_params(pretrained, registry, model_cfg, tcfg, task_sensors, se
                              requires_grad=not tcfg.frozen_trunk)
 
     if tcfg.mode == "channel_stack":
-        with T.no_grad():
-            stacked = stack_embedders_for_transfer(
-                [embedder_of(params, sid) for sid in task_sensors]
-            )
-        params["transfer.embed.kernel"] = T.Tensor(
-            stacked.kernel.data.astype(dtype, copy=True), requires_grad=not tcfg.frozen_trunk)
-        params["transfer.embed.bias"] = T.Tensor(
-            stacked.bias.data.astype(dtype, copy=True), requires_grad=not tcfg.frozen_trunk)
+        for leaf, arr in zip(("kernel", "bias"), stacked_embedder(params, task_sensors)):
+            params[f"transfer.embed.{leaf}"] = T.Tensor(arr.astype(dtype, copy=True),
+                                                       requires_grad=not tcfg.frozen_trunk)
         for sid in task_sensors:  # per-sensor embedders folded into the stack
             del params[f"embedder.{sid}.kernel"]
             del params[f"embedder.{sid}.bias"]
@@ -124,40 +123,27 @@ def init_transfer_params(pretrained, registry, model_cfg, tcfg, task_sensors, se
 
 
 def finetune_forward(params, model_cfg, tcfg, task_sensors, samples):
-    """Head output for one TaskSample: (K,) logits for multilabel, or a
-    dense (channels-or-classes, W, H) map for the dense heads.  Given a
-    sequence of samples, every task sensor's images run through the trunk
-    as one batch and the output gains a leading (B,) axis."""
-    single = isinstance(samples, TaskSample)
-    batch = [samples] if single else list(samples)
+    """Head output for a sequence of B TaskSamples: (B, K) logits for
+    multilabel, or a dense (B, channels-or-classes, W, H) map for the dense
+    heads.  Each embedder's images run through the trunk as one batch."""
     for sid in task_sensors:
-        if any(sid not in s.images for s in batch):
+        if any(sid not in s.images for s in samples):
             raise ConfigError(f"sample is missing sensor {sid} required by the transfer mode")
-    like = params["head.w"]
-    shared = shared_tokens(params)
     if tcfg.mode == "shared_encoder_concat":
-        feats = []
-        for sid in task_sensors:
-            images = T.constant(np.stack([s.images[sid] for s in batch]), like=like)
-            tokens = embed(images, embedder_of(params, sid), shared, image_sensor_id=sid)
-            feats.append(encode(tokens, model_cfg, params)[0])
-        per_token = feats[0] if len(feats) == 1 else T.concat(feats, axis=-1)
+        inputs = [(f"embedder.{sid}.", [s.images[sid] for s in samples]) for sid in task_sensors]
     else:
-        stacked = np.stack([np.concatenate([s.images[sid] for sid in task_sensors], axis=0)
-                            for s in batch])
-        fused = SensorEmbedder(sensor_id=-1, kernel=params["transfer.embed.kernel"],
-                               bias=params["transfer.embed.bias"])
-        tokens = embed(T.constant(stacked, like=like), fused, shared)
-        per_token = encode(tokens, model_cfg, params)[0]  # (B, L, width)
+        inputs = [("transfer.embed.", [np.concatenate([s.images[sid] for sid in task_sensors])
+                                       for s in samples])]
+    feats = [encode(embed(T.constant(np.stack(images), like=params["head.w"]), params, prefix),
+                    model_cfg, params)[0] for prefix, images in inputs]
+    per_token = feats[0] if len(feats) == 1 else T.concat(feats, axis=-1)  # (B, L, width)
 
     if tcfg.head == "multilabel":
-        out = T.linear(T.reduce_mean(per_token, axis=1), params["head.w"], params["head.b"])  # (B, K)
-    else:
-        dense = T.linear(per_token, params["head.w"], params["head.b"])
-        channels = tcfg.out_channels if tcfg.head == "dense_regression" else tcfg.num_classes
-        out = T.unpatchify(dense, model_cfg.patch_size, channels,
-                           model_cfg.image_w, model_cfg.image_h)
-    return T.reshape(out, out.shape[1:]) if single else out
+        return T.linear(T.reduce_mean(per_token, axis=1), params["head.w"], params["head.b"])
+    dense = T.linear(per_token, params["head.w"], params["head.b"])
+    channels = tcfg.out_channels if tcfg.head == "dense_regression" else tcfg.num_classes
+    return T.unpatchify(dense, model_cfg.patch_size, channels,
+                        model_cfg.image_w, model_cfg.image_h)
 
 
 def task_loss(params, model_cfg, tcfg, task_sensors, samples):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import crossmim.tensor as T
-from crossmim.decoders import (ReconstructionPlan, SensorDecoder,
-                               choose_targets, decode, reconstruction_loss)
+from crossmim.config import ModelConfig
+from crossmim.decoders import (ReconstructionPlan, choose_targets, decode,
+                               reconstruction_loss)
 from crossmim.errors import ShapeError
 from crossmim.masking import draw_mask, to_pixel_mask
 from crossmim.sensors import gen_synthetic, pair_registry, single_registry
@@ -13,42 +14,43 @@ from crossmim.sensors import gen_synthetic, pair_registry, single_registry
 import oracles
 from test_tensor import check_op, weighted
 
+# width 8, 4x4 patches over 8x8 images: 4 tokens per image
+CFG = ModelConfig(width=8, heads=2, patch_size=4, image_w=8, image_h=8, mask_unit=8)
 
-def make_decoder(rng, sensor_id=0, width=8, channels=3, patch=4, dtype=np.float64):
+
+def make_params(rng, sensor_id=0, width=8, channels=3, patch=4, dtype=np.float64):
     out = patch * patch * channels
-    return SensorDecoder(
-        sensor_id=sensor_id,
-        proj=T.Tensor(rng.normal(size=(out, width)), dtype=dtype, requires_grad=True),
-        bias=T.Tensor(rng.normal(size=out), dtype=dtype, requires_grad=True),
-        channels=channels,
-        patch_size=patch,
-    )
+    return {
+        f"decoder.{sensor_id}.proj": T.Tensor(rng.normal(size=(out, width)), dtype=dtype,
+                                              requires_grad=True),
+        f"decoder.{sensor_id}.bias": T.Tensor(rng.normal(size=out), dtype=dtype,
+                                              requires_grad=True),
+    }
 
 
 def test_decode_matches_explicit_projection(rng):
-    dec = make_decoder(rng)
-    feats = rng.normal(size=(4, 8))
-    out = decode(T.Tensor(feats, dtype=np.float64), dec, 8, 8)
-    assert out.shape == (3, 8, 8)
-    tokens = feats @ dec.proj.data.T + dec.bias.data[None, :]
+    params = make_params(rng, sensor_id=1)
+    feats = rng.normal(size=(2, 4, 8))
+    out = decode(T.Tensor(feats, dtype=np.float64), params, 1, CFG)
+    assert out.shape == (2, 3, 8, 8)
+    tokens = feats @ params["decoder.1.proj"].data.T + params["decoder.1.bias"].data
     expect = T.unpatchify(T.Tensor(tokens, dtype=np.float64), 4, 3, 8, 8)
     np.testing.assert_allclose(out.data, expect.data, rtol=1e-12)
 
 
 def test_decode_rejects_wrong_feature_width(rng):
-    dec = make_decoder(rng, width=8)
-    with pytest.raises(ShapeError, match="feature width"):
-        decode(T.Tensor(np.ones((4, 5))), dec, 8, 8)
+    params = make_params(rng, width=8)
+    with pytest.raises(ShapeError, match=r"expects \(B, L, 8\) features"):
+        decode(T.Tensor(np.ones((1, 4, 5))), params, 0, CFG)
 
 
 def test_decode_gradients(rng):
-    feats = rng.normal(size=(4, 8))
+    feats = rng.normal(size=(2, 4, 8))
     proj = rng.normal(size=(48, 8))
     bias = rng.normal(size=48)
 
     def build(f, p, b):
-        dec = SensorDecoder(0, p, b, channels=3, patch_size=4)
-        return weighted(decode(f, dec, 8, 8))
+        return weighted(decode(f, {"decoder.0.proj": p, "decoder.0.bias": b}, 0, CFG))
 
     check_op(build, feats, proj, bias)
 

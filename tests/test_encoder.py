@@ -70,16 +70,17 @@ def attention_naive(x, p, heads):
 
 
 def test_attention_matches_per_head_naive(rng):
-    d, heads, n = 8, 2, 5
+    b, d, heads, n = 2, 8, 2, 5
     p = attn_params(rng, d)
-    x = rng.normal(size=(n, d))
+    x = rng.normal(size=(b, n, d))
     out = attention(T.Tensor(x, dtype=np.float64), p, heads)
-    np.testing.assert_allclose(out.data, attention_naive(x, p, heads), rtol=1e-9)
+    for i in range(b):
+        np.testing.assert_allclose(out.data[i], attention_naive(x[i], p, heads), rtol=1e-9)
 
 
 def test_attention_gradients(rng):
     d, heads, n = 4, 2, 3
-    x = rng.normal(size=(n, d)) * 0.5
+    x = rng.normal(size=(2, n, d)) * 0.5
     wq = rng.normal(size=(d, d)) * 0.3
     bq = rng.normal(size=d) * 0.1
 
@@ -272,36 +273,38 @@ def enc_params(cfg, rng, dtype=np.float64, grad=False):
 
 def test_encode_depth_zero_is_identity(rng):
     cfg = ModelConfig(depth=0, width=8, heads=2, moe=False)
-    x = T.Tensor(rng.normal(size=(4, 8)))
+    x = T.Tensor(rng.normal(size=(2, 4, 8)))
     out, aux, reports = encode(x, cfg, {})
     np.testing.assert_array_equal(out.data, x.data)
-    assert float(aux.data) == 0.0
+    np.testing.assert_array_equal(aux.data, [0.0, 0.0])
     assert reports == []
 
 
 def test_encode_shapes_and_reports(rng):
     cfg = ModelConfig(depth=4, width=8, heads=2, num_experts=2, ffn_mult=2)
     p = enc_params(cfg, rng)
-    x = T.Tensor(rng.normal(size=(6, 8)), dtype=np.float64)
+    x = T.Tensor(rng.normal(size=(2, 6, 8)), dtype=np.float64)
     out, aux, reports = encode(x, cfg, p)
-    assert out.shape == (6, 8)
-    assert [r.block_index for r in reports] == [1, 3]
+    assert out.shape == (2, 6, 8) and aux.shape == (2,)
+    assert [r.block_index for r in reports] == [1, 3, 1, 3]  # sample-major
     for r in reports:
         assert sum(r.expert_counts) + r.dropped == 6
         assert abs(sum(r.mean_gate_prob) - 1.0) < 1e-6
-    assert float(aux.data) == pytest.approx(sum(r.aux_loss for r in reports))
+    for i in range(2):
+        own = reports[2 * i:2 * i + 2]
+        assert float(aux.data[i]) == pytest.approx(sum(r.aux_loss for r in own))
 
 
 def test_encode_rejects_wrong_token_width(rng):
     cfg = ModelConfig(depth=1, width=8, heads=2, moe=False)
     with pytest.raises(ShapeError):
-        encode(T.Tensor(rng.normal(size=(4, 7))), cfg, {})
+        encode(T.Tensor(rng.normal(size=(1, 4, 7))), cfg, {})
 
 
 def test_encode_flags_non_finite_with_block_and_stage(rng):
     cfg = ModelConfig(depth=2, width=8, heads=2, moe=False, ffn_mult=2)
     p = enc_params(cfg, rng)
-    x = T.Tensor(rng.normal(size=(4, 8)), dtype=np.float64)
+    x = T.Tensor(rng.normal(size=(1, 4, 8)), dtype=np.float64)
 
     p["encoder.block0.attn.wo"].data[0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
@@ -320,10 +323,10 @@ def test_encode_flags_non_finite_with_block_and_stage(rng):
 def test_encode_gradients_through_moe_trunk(rng):
     cfg = ModelConfig(depth=2, width=4, heads=2, num_experts=2, ffn_mult=2)
     p = enc_params(cfg, np.random.default_rng(8))
-    x = rng.normal(size=(5, 4)) * 0.5
+    x = rng.normal(size=(2, 5, 4)) * 0.5
 
     def build(xx):
         out, aux, _ = encode(xx, cfg, p)
-        return weighted(out) + aux
+        return weighted(out) + T.reduce_sum(aux)
 
     check_op(build, x, rel=1e-3, atol=1e-7)

@@ -7,10 +7,12 @@ import pytest
 
 import crossmim.tensor as T
 from crossmim.config import ModelConfig
-from crossmim.errors import NumericError
+from crossmim.decoders import decode
+from crossmim.embedder import embed
+from crossmim.encoder import attention, encode
+from crossmim.errors import NumericError, ShapeError
 from crossmim.masking import to_pixel_mask, draw_mask, to_token_mask
-from crossmim.model import (decoder_of, embedder_of, init_params, param_rng,
-                            reconstruct_sample, round_loss, shared_tokens)
+from crossmim.model import init_params, param_rng, reconstruct_sample, round_loss
 from crossmim.sensors import (MultisensorBatch, desk_registry, gen_synthetic,
                               pair_registry)
 from crossmim.training import STREAM_CROSS, STREAM_MASK, TrainConfig, Trainer, stream_rng
@@ -56,18 +58,6 @@ def test_init_params_independent_of_module_set():
     assert param_rng(4, "x").random() != param_rng(4, "y").random()
 
 
-def test_module_views_share_parameter_tensors():
-    params = init_params(REG, MCFG, seed=1)
-    emb = embedder_of(params, 1)
-    assert emb.kernel is params["embedder.1.kernel"]
-    assert emb.in_channels == 3 and emb.patch_size == 4
-    dec = decoder_of(params, 0, MCFG.patch_size)
-    assert dec.proj is params["decoder.0.proj"]
-    assert dec.channels == 2
-    sh = shared_tokens(params)
-    assert sh.mask_token is params["shared.mask_token"]
-
-
 def test_reconstruct_sample_shapes_and_cross_decoder():
     params = init_params(REG, MCFG, seed=1)
     ds = gen_synthetic(REG, 2, 16, 16, seed=3)
@@ -79,6 +69,35 @@ def test_reconstruct_sample_shapes_and_cross_decoder():
     pred_cross, _, _ = reconstruct_sample(params, MCFG, img, 0, tmask, 1)
     assert pred_cross.shape == (3, 16, 16)  # partner's channel space
     assert len(reports) == 1  # one moe block
+
+
+def test_reconstruct_sample_single_image_is_row_0_of_a_batch_of_one():
+    params = init_params(REG, MCFG, seed=1)
+    ds = gen_synthetic(REG, 2, 16, 16, seed=3)
+    tmask = to_token_mask(draw_mask(16, 16, 8, 0.6, np.random.default_rng(0)), 4)
+    img = ds.image(ds.by_sensor[1][0].sample_id)
+    assert img.dtype == np.float32
+    one, aux, reports = reconstruct_sample(params, MCFG, img, 1, tmask, 0)
+    batch, b_aux, b_reports = reconstruct_sample(params, MCFG, img[None], 1, tmask[None], 0)
+    assert one.shape == (2, 16, 16) and batch.shape == (1, 2, 16, 16)
+    assert one.data.tobytes() == batch.data[0].tobytes()
+    assert aux.shape == () and aux.data.tobytes() == b_aux.data[0].tobytes()
+    assert reports == b_reports
+
+
+def test_layers_reject_unbatched_input():
+    params = init_params(REG, MCFG, seed=1)
+    b = "encoder.block0.attn."
+    attn = {k[len(b):]: v for k, v in params.items() if k.startswith(b)}
+    tokens = T.Tensor(np.zeros((MCFG.tokens, MCFG.width), np.float32))
+    with pytest.raises(ShapeError):
+        embed(T.Tensor(np.zeros((2, 16, 16), np.float32)), params, "embedder.0.")
+    with pytest.raises(ShapeError):
+        encode(tokens, MCFG, params)
+    with pytest.raises(ShapeError):
+        decode(tokens, params, 0, MCFG)
+    with pytest.raises(ShapeError):
+        attention(tokens, attn, MCFG.heads)
 
 
 def test_round_loss_stats_and_gradients():

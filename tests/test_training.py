@@ -11,7 +11,8 @@ import crossmim.tensor as T
 from crossmim.config import ModelConfig
 from crossmim.errors import (CheckpointError, CompatibilityError, ConfigError,
                              NumericError)
-from crossmim.sensors import desk_registry, gen_synthetic, pair_registry
+from crossmim.render import write_ppm
+from crossmim.sensors import desk_registry, gen_synthetic, pair_registry, save_manifest
 from crossmim.training import (STREAM_CROSS, STREAM_DATA, STREAM_MASK,
                                STREAM_TASK, SensorSampler, TrainConfig, Trainer,
                                adamw_step, load_pretrained, lr_at, make_schedule,
@@ -391,28 +392,33 @@ def test_checkpoint_rejects_unsupported_dtype(tmp_path):
                           {"x": np.zeros(2, dtype=np.float16)})
 
 
+class TornFile:
+    """A file whose first write stores half its data, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+def tear_writes(monkeypatch):
+    """Make every write that goes through `checkpoint.write_atomic` tear."""
+    monkeypatch.setattr(ckpt, "open", lambda p, mode: TornFile(open(p, mode)), raising=False)
+
+
 def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     path = str(tmp_path / "checkpoint-final.msgm")
     good = {"x": np.arange(6, dtype=np.float32)}
     ckpt.save_tensors(path, good)
-    real_open = open
-
-    class TornFile:
-        def __init__(self, f):
-            self.f = f
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.f.close()
-
-        def write(self, data):
-            self.f.write(data[: len(data) // 2])
-            raise OSError("disk full")
-
-    monkeypatch.setattr(ckpt, "open", lambda p, mode: TornFile(real_open(p, mode)),
-                        raising=False)
+    tear_writes(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         ckpt.save_tensors(path, {"x": np.zeros(64, dtype=np.float32)})
     monkeypatch.undo()
@@ -464,3 +470,23 @@ def test_registry_digest_distinguishes_registries():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (32,)
+
+
+WRITERS = {
+    "text": lambda path, v: ckpt.write_atomic(path, f"report {v}\n" * 50),
+    "ppm": lambda path, v: write_ppm(path, np.full((8, 8, 3), v, dtype=np.uint8)),
+    "manifest": lambda path, v: save_manifest(
+        gen_synthetic(pair_registry(), 2, 8, 8, seed=v), path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_write_halfway_failure_keeps_previous_file_and_no_temp(tmp_path, monkeypatch, writer):
+    path = str(tmp_path / "out")
+    WRITERS[writer](path, 1)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    tear_writes(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        WRITERS[writer](path, 2)
+    monkeypatch.undo()
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before

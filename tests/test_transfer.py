@@ -140,9 +140,10 @@ def test_forward_shapes_per_mode_and_head():
     ]
     for tcfg, sensors, out_shape in cases:
         params = init_transfer_params(pre, REG, MCFG, tcfg, sensors, seed=9)
-        sample = TaskSample(images=_sample(sensors), label=np.zeros(1))
-        out = finetune_forward(params, MCFG, tcfg, sensors, sample)
-        assert out.shape == out_shape, (tcfg.mode, tcfg.head)
+        samples = [TaskSample(images=_sample(sensors, seed=s), label=np.zeros(1))
+                   for s in (11, 12)]
+        out = finetune_forward(params, MCFG, tcfg, sensors, samples)
+        assert out.shape == (2,) + out_shape, (tcfg.mode, tcfg.head)
 
 
 def test_forward_rejects_missing_sensor():
@@ -152,7 +153,7 @@ def test_forward_rejects_missing_sensor():
     sample = TaskSample(images={0: np.zeros((2, 16, 16), np.float32)},
                         label=np.zeros(4))
     with pytest.raises(ConfigError, match="missing sensor"):
-        finetune_forward(params, MCFG, tcfg, (0, 1), sample)
+        finetune_forward(params, MCFG, tcfg, (0, 1), [sample])
 
 
 def _bce(z, y):
@@ -168,7 +169,7 @@ def test_task_loss_multilabel_matches_manual_mean():
     samples = make_multilabel_task(ds, (0,), 4)[:3]
     got = task_loss(params, MCFG, tcfg, (0,), samples)
     expect = np.mean([
-        _bce(finetune_forward(params, MCFG, tcfg, (0,), s).data, s.label)
+        _bce(finetune_forward(params, MCFG, tcfg, (0,), [s]).data[0], s.label)
         for s in samples
     ])
     assert float(got.data) == pytest.approx(expect, rel=1e-5)
@@ -181,7 +182,7 @@ def test_task_loss_dense_regression_matches_manual():
     samples = make_dense_regression_task(dataset(), (0,))[:2]
     got = task_loss(params, MCFG, tcfg, (0,), samples)
     expect = np.mean([
-        np.abs(finetune_forward(params, MCFG, tcfg, (0,), s).data - s.label).mean()
+        np.abs(finetune_forward(params, MCFG, tcfg, (0,), [s]).data[0] - s.label).mean()
         for s in samples
     ])
     assert float(got.data) == pytest.approx(expect, rel=1e-5)
@@ -195,7 +196,7 @@ def test_task_loss_dense_classification_matches_manual():
     got = task_loss(params, MCFG, tcfg, (0,), samples)
     per = []
     for s in samples:
-        out = finetune_forward(params, MCFG, tcfg, (0,), s).data
+        out = finetune_forward(params, MCFG, tcfg, (0,), [s]).data[0]
         logits = out.reshape(3, -1).T
         z = logits - logits.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))

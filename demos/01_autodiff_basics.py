@@ -64,8 +64,8 @@ def main():
         with T.fresh_tape():
             T.backward(z * z)
         print(f"after backward #{k + 1}: z.grad = {float(z.grad)}")
-    T.zero_grads([z])
-    print(f"after zero_grads: z.grad = {z.grad}")
+    z.grad = None
+    print(f"after clearing: z.grad = {z.grad}")
 
 
 if __name__ == "__main__":

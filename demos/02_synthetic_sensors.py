@@ -1,7 +1,7 @@
-"""Synthetic multisensor data: registries, colocated pairs, manifests.
+"""Synthetic multisensor data: registries, colocated pairs, the dataset file.
 
 Generates the five-sensor desk dataset, shows how paired samples link to
-each other, and round-trips everything through the on-disk manifest.
+each other, and round-trips everything through the on-disk dataset file.
 """
 
 import os
@@ -38,16 +38,15 @@ def main():
     exact = np.array_equal(mixed, dataset.image(partner.sample_id))
     print(f"  partner equals the declared channel mix of its source: {exact}")
 
-    print("\n== manifest round trip ==")
+    print("\n== dataset file round trip ==")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.msgfm")
         save_manifest(dataset, path)
-        sizes = {os.path.basename(p): os.path.getsize(p)
-                 for p in (path, path + ".bin")}
+        size = os.path.getsize(path)
         loaded = load_manifest(path)
         same = all(np.array_equal(dataset.image(r.sample_id), loaded.image(r.sample_id))
                    for r in dataset.records)
-        print(f"  wrote {sizes}")
+        print(f"  wrote data.msgfm, {size} bytes")
         print(f"  {len(loaded)} samples restored, all images bit-identical: {same}")
 
 

@@ -55,12 +55,12 @@ def save_tensors(path, named):
         for dim in arr.shape:
             out += struct.pack("<I", dim)
         out += np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
-    write_atomic(path, bytes(out))
+    out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
+    write_atomic(path, out)
 
 
 def write_atomic(path, data):
-    """Write `data` (bytes, or str as UTF-8) to a temp file beside `path`
+    """Write `data` (bytes-like, or str as UTF-8) to a temp file beside `path`
     that then replaces it, so a failed write leaves any previous file at
     `path` intact and no temp file behind."""
     tmp = path + ".tmp"
@@ -88,7 +88,7 @@ def load_tensors(path):
     if version != VERSION:
         raise CheckpointError(f"checkpoint version {version} unsupported, expected {VERSION}")
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    actual_crc = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise CheckpointError(
             f"checkpoint checksum mismatch: stored {stored_crc:08x}, computed {actual_crc:08x}"

@@ -374,7 +374,7 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         if data:
             p.add_argument("--data", required=True,
-                           help="dataset manifest file or its directory")
+                           help="dataset file (data.msgfm) or its directory")
         if checkpoint:
             p.add_argument("--checkpoint", required=True,
                            help="pretraining checkpoint file or its directory")
@@ -390,7 +390,7 @@ def build_parser():
 
     p = sub.add_parser("ablate", help="run a {moe} x {cross rate} ablation grid")
     common(p)
-    p.add_argument("--data", help="reuse an existing dataset manifest")
+    p.add_argument("--data", help="reuse an existing dataset file")
     p.add_argument("--grid", required=True, help='e.g. "moe=0,1;cross=0,0.5,1.0"')
     p.set_defaults(func=cmd_ablate)
 

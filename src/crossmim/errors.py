@@ -14,7 +14,7 @@ class ConfigError(ValueError):
 
 
 class DataFormatError(ValueError):
-    """A dataset manifest or blob is malformed or inconsistent."""
+    """A dataset file is unreadable, malformed or inconsistent."""
 
 
 class CheckpointError(ValueError):

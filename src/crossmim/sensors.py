@@ -1,24 +1,20 @@
-"""Sensor registry, synthetic multisensor data, and dataset manifests.
+"""Sensor registry, synthetic multisensor data, and the dataset file.
 
-Images are channel-first (C, W, H), row-major, little-endian float32,
-stored already normalized to each sensor's declared statistics.  Paired
-sensors hold colocated samples of identical W x H; the partner image is
-a deterministic transform of the source so cross-sensor prediction has
-learnable signal.
+Images are channel-first (C, W, H) float32, stored already normalized to
+each sensor's declared statistics.  Paired sensors hold colocated
+samples of identical W x H; the partner image is a deterministic
+transform of the source so cross-sensor prediction has learnable signal.
+A dataset is saved as one checkpoint container (see `checkpoint`).
 """
 
-import io
-import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy import ndimage
 
-from .checkpoint import write_atomic
-from .errors import ConfigError, DataFormatError, ShapeError
-
-MANIFEST_HEADER = "MSGFM-DATA v1"
+from .checkpoint import json_to_u8, load_tensors, save_tensors, u8_to_json
+from .errors import CheckpointError, ConfigError, DataFormatError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -95,10 +91,6 @@ class SensorRegistry:
             if s.name == name:
                 return s
         raise ConfigError(f"no sensor named {name!r}")
-
-    def partner_of(self, sensor_id):
-        pid = self._specs[sensor_id].paired_with
-        return None if pid is None else self._specs[pid]
 
 
 def register_sensors(specs):
@@ -187,10 +179,14 @@ class Dataset:
         for i, (r, img) in enumerate(zip(self.records, self.images)):
             if r.sample_id != i:
                 raise DataFormatError(f"sample ids must be dense, got {r.sample_id} at {i}")
+            if not 0 <= r.sensor_id < len(self.registry):
+                raise DataFormatError(f"sample {i}: unknown sensor {r.sensor_id}")
             spec = self.registry[r.sensor_id]
             expect = (spec.channels, self.width, self.height)
             if img.shape != expect:
                 raise ShapeError(f"sample {r.sample_id}: image shape {img.shape} != {expect}")
+            if img.dtype != np.float32:
+                raise DataFormatError(f"sample {r.sample_id}: dtype {img.dtype}, expected float32")
             if not np.all(np.isfinite(img)):
                 raise DataFormatError(f"sample {r.sample_id}: non-finite values")
             if r.partner_sample_id is not None:
@@ -313,115 +309,39 @@ def gen_synthetic(registry, n_per_sensor, width, height, seed):
 
 
 def save_manifest(dataset, path):
-    """Write a text manifest plus a `.bin` sidecar of raw little-endian f32
-    image payloads, each atomically; the round trip is bit exact."""
-    blob_path = path + ".bin"
-    offsets = []
-    pos = 0
-    for img in dataset.images:
-        offsets.append((pos, img.size))
-        pos += 4 * img.size
-    write_atomic(blob_path, b"".join(np.ascontiguousarray(img, dtype="<f4").tobytes()
-                                     for img in dataset.images))
-    lines = [MANIFEST_HEADER]
-    lines.append(f"blob {os.path.basename(blob_path)} {pos}")
-    lines.append(f"size {dataset.width} {dataset.height}")
-    lines.append(f"sensors {len(dataset.registry)}")
-    for s in dataset.registry:
-        pair = "-" if s.paired_with is None else str(s.paired_with)
-        mean = ",".join(repr(v) for v in s.norm_mean)
-        std = ",".join(repr(v) for v in s.norm_std)
-        lines.append(f"sensor {s.sensor_id} {s.name} {s.channels} {pair} {mean} {std}")
-    lines.append(f"samples {len(dataset)}")
-    for r, (off, count) in zip(dataset.records, offsets):
-        pair = "-" if r.partner_sample_id is None else str(r.partner_sample_id)
-        lines.append(f"sample {r.sample_id} {r.sensor_id} {pair} {off} {count}")
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def _manifest_fail(msg):
-    raise DataFormatError(f"manifest: {msg}")
+    """Write the dataset as one checkpoint container, atomically:
+    `sensors`, one JSON row per spec in `SensorSpec` field order; `size`,
+    [W, H]; `records`, (N, 2) rows of [sensor_id, partner or -1]; and one
+    f32 `image.<sample_id>` per sample.  The round trip is bit exact."""
+    named = {
+        "sensors": json_to_u8([[s.sensor_id, s.name, s.channels, s.paired_with,
+                                s.norm_mean, s.norm_std] for s in dataset.registry]),
+        "size": np.array([dataset.width, dataset.height], dtype=np.int64),
+        "records": np.array([[r.sensor_id, -1 if r.partner_sample_id is None
+                              else r.partner_sample_id] for r in dataset.records],
+                            dtype=np.int64).reshape(-1, 2),
+    }
+    for r, img in zip(dataset.records, dataset.images):
+        named[f"image.{r.sample_id}"] = np.asarray(img, dtype=np.float32)
+    save_tensors(path, named)
 
 
 def load_manifest(path):
+    """Read a dataset written by `save_manifest`.  Every failure, from an
+    unreadable or corrupt container to a record the registry rejects, is
+    a DataFormatError."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    except OSError as e:
-        raise DataFormatError(f"manifest: cannot read {path}: {e}") from e
-    if not lines:
-        _manifest_fail("empty file")
-    if lines[0] != MANIFEST_HEADER:
-        if lines[0].startswith("MSGFM-DATA"):
-            _manifest_fail(f"version mismatch: {lines[0]!r}, expected {MANIFEST_HEADER!r}")
-        _manifest_fail(f"bad header {lines[0]!r}")
-
-    fields = {}
-    sensors, samples = [], []
-    for ln in lines[1:]:
-        parts = ln.split()
-        key = parts[0]
-        if key == "sensor":
-            if len(parts) != 7:
-                _manifest_fail(f"malformed sensor line: {ln!r}")
-            sid, name, ch, pair = int(parts[1]), parts[2], int(parts[3]), parts[4]
-            mean = tuple(float(v) for v in parts[5].split(","))
-            std = tuple(float(v) for v in parts[6].split(","))
-            sensors.append(SensorSpec(
-                sid, name, ch,
-                paired_with=None if pair == "-" else int(pair),
-                norm_mean=mean, norm_std=std,
-            ))
-        elif key == "sample":
-            if len(parts) != 6:
-                _manifest_fail(f"malformed sample line: {ln!r}")
-            samples.append((int(parts[1]), int(parts[2]), parts[3], int(parts[4]), int(parts[5])))
-        else:
-            fields[key] = parts[1:]
-
-    for need in ("blob", "size", "sensors", "samples"):
-        if need not in fields:
-            _manifest_fail(f"missing {need!r} line")
-    width, height = int(fields["size"][0]), int(fields["size"][1])
-    if int(fields["sensors"][0]) != len(sensors):
-        _manifest_fail("sensor count mismatch")
-    if int(fields["samples"][0]) != len(samples):
-        _manifest_fail("sample count mismatch")
-    try:
-        registry = register_sensors(sensors)
-    except ConfigError as e:
-        raise DataFormatError(f"manifest: invalid sensor table: {e}") from e
-
-    blob_path = os.path.join(os.path.dirname(os.path.abspath(path)), fields["blob"][0])
-    declared = int(fields["blob"][1])
-    try:
-        with open(blob_path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise DataFormatError(f"manifest: cannot read blob {blob_path}: {e}") from e
-    if len(blob) != declared:
-        _manifest_fail(f"blob truncated: {len(blob)} bytes, declared {declared}")
-
-    records, images = [], []
-    for i, (sid, sensor_id, pair, off, count) in enumerate(samples):
-        if sid != i:
-            _manifest_fail(f"sample ids must be dense, got {sid} at position {i}")
-        if not 0 <= sensor_id < len(registry):
-            _manifest_fail(f"sample {sid}: unknown sensor {sensor_id}")
-        ch = registry[sensor_id].channels
-        if count != ch * width * height:
-            _manifest_fail(f"sample {sid}: payload count {count} != {ch}x{width}x{height}")
-        end = off + 4 * count
-        if off < 0 or end > len(blob):
-            _manifest_fail(f"sample {sid}: payload [{off}, {end}) outside blob")
-        img = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-        images.append(img.reshape(ch, width, height).copy())
-        partner = None if pair == "-" else int(pair)
-        if partner is not None and not 0 <= partner < len(samples):
-            _manifest_fail(f"sample {sid}: partner id {partner} missing")
-        records.append(SampleRecord(sid, sensor_id, partner))
-
-    try:
+        named = load_tensors(path)
+        registry = register_sensors(SensorSpec(*row) for row in u8_to_json(named["sensors"]))
+        width, height = (int(v) for v in named["size"])
+        records = [SampleRecord(i, int(sid), None if pair < 0 else int(pair))
+                   for i, (sid, pair) in enumerate(named["records"])]
+        images = [named[f"image.{i}"] for i in range(len(records))]
         return Dataset(registry, width, height, records, images)
-    except (DataFormatError, ShapeError) as e:
+    except CheckpointError as e:
+        raise DataFormatError(
+            f"manifest: {e}; `crossmim gen-data` regenerates the dataset file") from e
+    except KeyError as e:
+        raise DataFormatError(f"manifest: missing entry {e}") from e
+    except (ConfigError, DataFormatError, ShapeError, TypeError, ValueError) as e:
         raise DataFormatError(f"manifest: {e}") from e

@@ -249,11 +249,6 @@ def backward(loss):
         fn(g)
 
 
-def zero_grads(tensors):
-    for t in tensors:
-        t.grad = None
-
-
 # ---------------------------------------------------------------------------
 # primitives
 

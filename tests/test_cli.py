@@ -60,11 +60,9 @@ def read_json(path):
 
 def test_gen_data_outputs(ws):
     names = sorted(os.listdir(ws["data"]))
-    assert names == ["data.msgfm", "data.msgfm.bin", "produced-files.txt",
-                     "resolved-config.txt"]
+    assert names == ["data.msgfm", "produced-files.txt", "resolved-config.txt"]
     produced = open(os.path.join(ws["data"], "produced-files.txt")).read()
-    assert produced.splitlines() == ["data.msgfm", "data.msgfm.bin",
-                                     "resolved-config.txt"]
+    assert produced.splitlines() == ["data.msgfm", "resolved-config.txt"]
     resolved = parse_config_text(
         open(os.path.join(ws["data"], "resolved-config.txt")).read())
     assert resolved["data.n_per_sensor"] == 4
@@ -329,6 +327,19 @@ def test_io_error_exit_codes(ws, tmp_path, capsys):
     assert main(["evaluate", "--config", ws["cfg"], "--data", ws["data"],
                  "--checkpoint", str(junk), "--out", out]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_unreadable_dataset_file_exits_3(ws, tmp_path, capsys):
+    old_text = tmp_path / "old.msgfm"
+    old_text.write_text("MSGFM-DATA v1\nblob old.bin 0\nsize 16 16\n")
+    flipped = bytearray(open(os.path.join(ws["data"], "data.msgfm"), "rb").read())
+    flipped[len(flipped) // 2] ^= 0x01
+    (tmp_path / "flipped.msgfm").write_bytes(bytes(flipped))
+    for name, hint in (("old.msgfm", "magic"), ("flipped.msgfm", "checksum")):
+        assert main(["pretrain", "--config", ws["cfg"], "--data", str(tmp_path / name),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert hint in err and "crossmim gen-data" in err and "Traceback" not in err
 
 
 def test_numeric_error_exit_code(ws, tmp_path, capsys):

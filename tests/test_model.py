@@ -181,7 +181,8 @@ def test_round_loss_rejects_empty_round():
 
 def _round_with_grads(round_fn, params, cfg, ds, batch, seed):
     mask_rng, cross_rng = stream_rng(seed, STREAM_MASK), stream_rng(seed, STREAM_CROSS)
-    T.zero_grads(params.values())
+    for p in params.values():
+        p.grad = None
     with T.fresh_tape():
         total, stats, reports = round_fn(params, cfg, ds, batch, mask_rng, cross_rng, 0.5)
         T.backward(total)

@@ -1,5 +1,9 @@
 """Image-grid rendering: channel mapping, normalization, PPM output."""
 
+import os
+import sys
+import types
+
 import numpy as np
 
 from crossmim.render import (GAP, channels_to_rgb, compose_grid,
@@ -72,6 +76,32 @@ def test_write_png_matches_pillow_availability(tmp_path, rng):
     path = tmp_path / "img.png"
     assert write_png(str(path), img) is have_pillow
     assert path.exists() is have_pillow
+
+
+def test_write_png_encodes_through_pillow(tmp_path, rng, monkeypatch):
+    """The PNG branch, run against a stub `PIL` that records what it was
+    asked to encode, so it needs no Pillow install."""
+    calls = []
+
+    class StubImage:
+        def __init__(self, array, mode):
+            self.array, self.mode = array, mode
+
+        def save(self, buf, format):
+            calls.append((self.mode, format))
+            buf.write(b"stub-png:" + self.array.tobytes())
+
+    image_mod = types.ModuleType("PIL.Image")
+    image_mod.fromarray = StubImage
+    pil = types.ModuleType("PIL")
+    pil.Image = image_mod
+    monkeypatch.setitem(sys.modules, "PIL", pil)
+    monkeypatch.setitem(sys.modules, "PIL.Image", image_mod)
+    img = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
+    assert write_png(str(tmp_path / "img.png"), img) is True
+    assert calls == [("RGB", "PNG")]
+    assert (tmp_path / "img.png").read_bytes() == b"stub-png:" + img.tobytes()
+    assert os.listdir(tmp_path) == ["img.png"]
 
 
 def test_reconstruction_grid_shape(rng):

@@ -1,8 +1,11 @@
-"""Sensor registry, synthetic corpus generation, and manifest round trips."""
+"""Sensor registry, synthetic corpus generation, and dataset file round trips."""
+
+import os
 
 import numpy as np
 import pytest
 
+import crossmim.checkpoint as ckpt
 from crossmim.errors import ConfigError, DataFormatError, ShapeError
 from crossmim.sensors import (Dataset, SampleRecord, SensorSpec, desk_registry,
                               gen_synthetic, load_manifest, pair_registry,
@@ -38,9 +41,9 @@ def test_registry_lookup_and_partner():
     assert len(reg) == 5
     assert [s.channels for s in reg] == [3, 2, 14, 1, 3]
     assert reg.by_name("ms").sensor_id == 2
-    assert reg.partner_of(1).name == "ms"
-    assert reg.partner_of(2).name == "sar"
-    assert reg.partner_of(0) is None
+    assert reg[reg[1].paired_with].name == "ms"
+    assert reg[reg[2].paired_with].name == "sar"
+    assert reg[0].paired_with is None
     with pytest.raises(ConfigError):
         reg.by_name("missing")
 
@@ -141,6 +144,8 @@ def test_dataset_validation_errors():
         Dataset(reg, 8, 8, [records[0], SampleRecord(5, 1, 0)], images)
     with pytest.raises(ShapeError):
         Dataset(reg, 8, 8, records, [np.zeros((2, 8, 9), np.float32), images[1]])
+    with pytest.raises(DataFormatError, match="float32"):
+        Dataset(reg, 8, 8, records, [images[0].astype(np.float64), images[1]])
     bad = images[0].copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(DataFormatError):
@@ -155,16 +160,26 @@ def test_dataset_validation_errors():
                 images)
 
 
+def test_dataset_rejects_unknown_sensor_id():
+    reg, _, _ = _tiny_dataset()
+    for sid in (-1, 2):  # -1 would otherwise index the registry from the end
+        with pytest.raises(DataFormatError, match=f"unknown sensor {sid}"):
+            Dataset(reg, 8, 8, [SampleRecord(0, sid)], [np.zeros((3, 8, 8), np.float32)])
+
+
 def test_manifest_round_trip_is_bit_exact(tmp_path):
-    ds = gen_synthetic(desk_registry(), 2, 16, 16, seed=9)
-    path = str(tmp_path / "corpus.msgfm")
-    save_manifest(ds, path)
-    back = load_manifest(path)
-    assert back.registry == ds.registry
-    assert (back.width, back.height) == (ds.width, ds.height)
-    assert back.records == ds.records
-    for a, b in zip(ds.images, back.images):
-        np.testing.assert_array_equal(a, b)
+    for registry in (desk_registry(), pair_registry(), single_registry()):
+        ds = gen_synthetic(registry, 2, 16, 16, seed=9)
+        path = str(tmp_path / "corpus.msgfm")
+        save_manifest(ds, path)
+        assert os.listdir(tmp_path) == ["corpus.msgfm"]  # one file, no sidecar
+        back = load_manifest(path)
+        assert back.registry == ds.registry
+        assert (back.width, back.height) == (ds.width, ds.height)
+        assert back.records == ds.records
+        for a, b in zip(ds.images, back.images):
+            assert b.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
 
 
 def _saved(tmp_path):
@@ -174,55 +189,97 @@ def _saved(tmp_path):
     return path
 
 
+def _rewrite(path, name, value=None):
+    """Replace one entry of the container, or drop it when `value` is None,
+    and save with a valid checksum, so only the dataset checks can catch
+    the change."""
+    named = ckpt.load_tensors(path)
+    if value is None:
+        del named[name]
+    else:
+        named[name] = value
+    ckpt.save_tensors(path, named)
+
+
+OLD_TEXT_MANIFEST = """MSGFM-DATA v1
+blob corpus.bin 768
+size 8 8
+sensors 1
+sensor 0 rgb 3 - 0.0,0.0,0.0 1.0,1.0,1.0
+samples 1
+sample 0 0 - 0 192
+"""
+
+
 def test_manifest_rejects_bad_header(tmp_path):
-    path = _saved(tmp_path)
-    lines = open(path).read().splitlines()
-    lines[0] = "SOMETHING ELSE"
-    open(path, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(DataFormatError, match="header"):
+    path = str(tmp_path / "corpus.msgfm")
+    open(path, "w").write(OLD_TEXT_MANIFEST)
+    with pytest.raises(DataFormatError, match="magic.*crossmim gen-data"):
         load_manifest(path)
 
 
 def test_manifest_rejects_version_mismatch(tmp_path):
     path = _saved(tmp_path)
-    lines = open(path).read().splitlines()
-    lines[0] = "MSGFM-DATA v2"
-    open(path, "w").write("\n".join(lines) + "\n")
+    raw = bytearray(open(path, "rb").read())
+    raw[4] += 1
+    open(path, "wb").write(bytes(raw))
     with pytest.raises(DataFormatError, match="version"):
         load_manifest(path)
 
 
 def test_manifest_rejects_truncated_blob(tmp_path):
     path = _saved(tmp_path)
-    blob = path + ".bin"
-    data = open(blob, "rb").read()
-    open(blob, "wb").write(data[:-8])
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:-8])
+    with pytest.raises(DataFormatError, match="checksum"):
+        load_manifest(path)
+    open(path, "wb").write(data[:6])
     with pytest.raises(DataFormatError, match="truncated"):
         load_manifest(path)
 
 
-def test_manifest_rejects_missing_required_line(tmp_path):
+def test_manifest_rejects_flipped_payload_byte(tmp_path):
     path = _saved(tmp_path)
-    lines = [ln for ln in open(path).read().splitlines() if not ln.startswith("size")]
-    open(path, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(DataFormatError, match="size"):
+    raw = bytearray(open(path, "rb").read())
+    raw[len(raw) // 2] ^= 0x01  # inside the image payloads
+    open(path, "wb").write(bytes(raw))
+    with pytest.raises(DataFormatError, match="checksum"):
+        load_manifest(path)
+
+
+def test_manifest_rejects_missing_required_entry(tmp_path):
+    path = _saved(tmp_path)
+    _rewrite(path, "size")
+    with pytest.raises(DataFormatError, match="missing entry 'size'"):
         load_manifest(path)
 
 
 def test_manifest_rejects_count_mismatch(tmp_path):
-    path = _saved(tmp_path)
-    lines = open(path).read().splitlines()
-    lines = [("samples 99" if ln.startswith("samples ") else ln) for ln in lines]
-    open(path, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(DataFormatError, match="count"):
+    path = _saved(tmp_path)  # four samples: image.0 .. image.3
+    _rewrite(path, "image.3")
+    with pytest.raises(DataFormatError, match="missing entry 'image.3'"):
         load_manifest(path)
 
 
-def test_manifest_rejects_missing_blob_file(tmp_path):
+def test_manifest_rejects_unknown_sensor_and_asymmetric_partner(tmp_path):
     path = _saved(tmp_path)
-    import os
-    os.remove(path + ".bin")
-    with pytest.raises(DataFormatError, match="blob"):
+    good = ckpt.load_tensors(path)["records"]  # rows [0, 1], [1, 0], [0, 3], [1, 2]
+    for (row, col, value), match in (((0, 0, 7), "unknown sensor 7"),
+                                     ((1, 1, -1), "not symmetric")):
+        records = good.copy()
+        records[row, col] = value
+        _rewrite(path, "records", records)
+        with pytest.raises(DataFormatError, match=match):
+            load_manifest(path)
+
+
+def test_manifest_rejects_bad_sensor_table(tmp_path):
+    path = _saved(tmp_path)
+    _rewrite(path, "sensors", ckpt.json_to_u8([[0, "sar", 2, 1, [0.0, 0.0], [1.0, 1.0]]]))
+    with pytest.raises(DataFormatError, match="paired with unknown id 1"):
+        load_manifest(path)
+    _rewrite(path, "sensors", ckpt.bytes_to_u8(b"[[0,"))  # cut-off JSON
+    with pytest.raises(DataFormatError, match="manifest"):
         load_manifest(path)
 
 

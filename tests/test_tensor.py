@@ -108,8 +108,10 @@ def test_backward_accumulates_until_cleared():
         T.backward(y)
         T.backward(y)
     np.testing.assert_allclose(x.grad, [12.0])  # two accumulated passes
-    T.zero_grads([x])
-    assert x.grad is None
+    x.grad = None
+    with T.fresh_tape():
+        T.backward(x * x)
+    np.testing.assert_allclose(x.grad, [6.0])  # one pass after clearing
 
 
 def test_backward_rejects_non_scalar_and_disconnected():

@@ -52,11 +52,6 @@ def _run_config(args):
     return run.with_overrides(overrides)
 
 
-def _prepare_out(args, run):
-    os.makedirs(args.out, exist_ok=True)
-    ckpt.write_atomic(os.path.join(args.out, "resolved-config.txt"), run.to_text())
-
-
 def _write_produced(out_dir):
     produced = []
     for root, _dirs, files in os.walk(out_dir):
@@ -122,13 +117,18 @@ def _evaluate(params, model_cfg, dataset, run):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_gen_data(args):
-    run = _run_config(args)
-    _prepare_out(args, run)
-    registry = registry_preset(run["data.registry"])
-    dataset = gen_synthetic(registry, run["data.n_per_sensor"],
-                            run["data.width"], run["data.height"], run["seed"])
-    save_manifest(dataset, os.path.join(args.out, "data.msgfm"))
+def _gen_dataset(run, out_dir):
+    """The run's synthetic dataset, also written to <out_dir>/data.msgfm."""
+    dataset = gen_synthetic(registry_preset(run["data.registry"]),
+                            run["data.n_per_sensor"], run["data.width"], run["data.height"],
+                            run["seed"])
+    save_manifest(dataset, os.path.join(out_dir, "data.msgfm"))
+    return dataset
+
+
+def cmd_gen_data(args, run):
+    dataset = _gen_dataset(run, args.out)
+    registry = dataset.registry
     pairs = sorted(
         (s.sensor_id, s.paired_with) for s in registry
         if s.paired_with is not None and s.sensor_id < s.paired_with
@@ -139,15 +139,11 @@ def cmd_gen_data(args):
         print(f"sensor {s.sensor_id} {s.name}: {n} samples, {s.channels} channels, {pairing}")
     print(f"pairs: {len(pairs)}")
     print(f"total samples: {len(dataset)}")
-    _write_produced(args.out)
-    return 0
 
 
-def cmd_pretrain(args):
-    run = _run_config(args)
-    _prepare_out(args, run)
+def cmd_pretrain(args, run):
     dataset = load_manifest(_manifest_path(args.data))
-    trainer = Trainer(dataset, run.model_config(), run.build(TrainConfig, "train"),
+    trainer = Trainer(dataset, run.model_config(), run.build(TrainConfig),
                       log_path=os.path.join(args.out, "metrics.jsonl"),
                       dump_dir=args.out)
     if args.resume:
@@ -159,8 +155,6 @@ def cmd_pretrain(args):
         trainer.close()
     if last is not None:
         print(f"final step {last['step']}: loss_total {last['loss_total']:.6f}")
-    _write_produced(args.out)
-    return 0
 
 
 # ablation grid axis -> the config key whose parser reads its values
@@ -192,31 +186,28 @@ def _parse_grid(spec):
     return axes
 
 
-def cmd_ablate(args):
-    run = _run_config(args)
-    _prepare_out(args, run)
+def cmd_ablate(args, run):
     axes = _parse_grid(args.grid)
     moes = axes["moe"] if axes["moe"] is not None else [run["model.moe"]]
     crosses = axes["cross"] if axes["cross"] is not None else [run["train.p_cross"]]
     # every cell's config is built, and so checked, before the first cell trains;
     # the grid varies model keys only, so the cells share one TrainConfig
-    train_cfg = run.build(TrainConfig, "train")
-    cells = [(moe, cross, run.with_overrides({"model.moe": moe,
-                                              "train.p_cross": cross}).model_config())
-             for moe in moes for cross in crosses]
+    train_cfg = run.build(TrainConfig)
+    cells = {}  # cell directory -> (moe, cross, model config)
+    for moe in moes:
+        for cross in crosses:
+            name = f"cell-moe{int(moe)}-cross{cross:g}"
+            if name in cells:
+                raise ConfigError(f"two grid cells would share {name}")
+            cells[name] = (moe, cross, run.with_overrides({"model.moe": moe,
+                                                           "train.p_cross": cross}).model_config())
 
-    if args.data:
-        dataset = load_manifest(_manifest_path(args.data))
-    else:
-        registry = registry_preset(run["data.registry"])
-        dataset = gen_synthetic(registry, run["data.n_per_sensor"],
-                                run["data.width"], run["data.height"], run["seed"])
-        save_manifest(dataset, os.path.join(args.out, "data.msgfm"))
+    dataset = load_manifest(_manifest_path(args.data)) if args.data else _gen_dataset(run, args.out)
 
     rows = []
     results = []
-    for moe, cross, model_cfg in cells:
-        cell_dir = os.path.join(args.out, f"cell-moe{int(moe)}-cross{cross:g}")
+    for name, (moe, cross, model_cfg) in cells.items():
+        cell_dir = os.path.join(args.out, name)
         os.makedirs(cell_dir, exist_ok=True)
         trainer = Trainer(dataset, model_cfg, train_cfg,
                           log_path=os.path.join(cell_dir, "metrics.jsonl"), dump_dir=cell_dir)
@@ -241,8 +232,6 @@ def cmd_ablate(args):
     print(table, end="")
     ckpt.write_atomic(os.path.join(args.out, "ablation-table.txt"), table)
     _write_json(os.path.join(args.out, "ablation.json"), results)
-    _write_produced(args.out)
-    return 0
 
 
 def _task_sensor_ids(run, dataset):
@@ -256,12 +245,10 @@ def _task_sensor_ids(run, dataset):
     return (registry[0].sensor_id,)
 
 
-def cmd_finetune(args):
-    run = _run_config(args)
-    _prepare_out(args, run)
+def cmd_finetune(args, run):
     dataset = load_manifest(_manifest_path(args.data))
     mcfg = run.model_config()
-    tcfg = run.build(TransferConfig, "transfer")
+    tcfg = run.build(TransferConfig)
     task_sensors = _task_sensor_ids(run, dataset)
     samples = make_task(dataset, tcfg, task_sensors)
     pretrained = None
@@ -270,7 +257,8 @@ def cmd_finetune(args):
                                      dataset.registry, mcfg)
     params, losses = finetune(
         dataset.registry, mcfg, tcfg, task_sensors, samples, pretrained,
-        steps=tcfg.steps, lr=tcfg.lr, batch_size=tcfg.batch, seed=run["seed"],
+        steps=run["transfer.steps"], lr=run["transfer.lr"], batch_size=run["transfer.batch"],
+        seed=run["seed"],
         log_path=os.path.join(args.out, "finetune-log.jsonl"), dump_dir=args.out,
     )
     scores = task_metrics(params, mcfg, tcfg, task_sensors, samples)
@@ -287,13 +275,9 @@ def cmd_finetune(args):
     print(f"loss: {losses[0]:.6f} -> {losses[-1]:.6f} over {len(losses)} steps")
     for k, val in scores.items():
         print(f"{k}: {val:.6f}")
-    _write_produced(args.out)
-    return 0
 
 
-def cmd_evaluate(args):
-    run = _run_config(args)
-    _prepare_out(args, run)
+def cmd_evaluate(args, run):
     dataset = load_manifest(_manifest_path(args.data))
     mcfg = run.model_config()
     params = load_pretrained(_checkpoint_path(args.checkpoint), dataset.registry, mcfg)
@@ -312,13 +296,9 @@ def cmd_evaluate(args):
                "cross_l1": cross_l1}
     _write_json(os.path.join(args.out, "metric-report.json"), payload)
     ckpt.write_atomic(os.path.join(args.out, "metric-table.txt"), table)
-    _write_produced(args.out)
-    return 0
 
 
-def cmd_reconstruct(args):
-    run = _run_config(args)
-    _prepare_out(args, run)
+def cmd_reconstruct(args, run):
     dataset = load_manifest(_manifest_path(args.data))
     mcfg = run.model_config()
     params = load_pretrained(_checkpoint_path(args.checkpoint), dataset.registry, mcfg)
@@ -353,8 +333,6 @@ def cmd_reconstruct(args):
     if stats:
         _write_json(base + "-stats.json", stats)
         print(f"wrote {base}-stats.json")
-    _write_produced(args.out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +394,12 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        return args.func(args)
+        run = _run_config(args)
+        os.makedirs(args.out, exist_ok=True)
+        ckpt.write_atomic(os.path.join(args.out, "resolved-config.txt"), run.to_text())
+        args.func(args, run)
+        _write_produced(args.out)
+        return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

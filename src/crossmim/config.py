@@ -1,15 +1,97 @@
 """Run configuration: a flat key=value format with dotted sections.
 
 One schema covers data generation, the model, training, transfer, and the
-rendering commands.  Unknown keys are rejected so typos fail loudly, and
-every command writes its fully-resolved configuration next to its outputs
-before doing real work.
+rendering commands, and gives each key its type, default and allowed
+values.  Unknown keys are rejected so typos fail loudly, every key is
+range-checked when a run's configuration is built, and every command writes
+its fully-resolved configuration next to its outputs before doing real work.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+
+# key -> (type name, default, allowed values or None).  This is the one
+# place a setting is declared: a config-dataclass field with a key takes its
+# default from here (`keyed`), and `check_range` tests values against the
+# allowed values.
+SCHEMA = {
+    "seed": ("int", 0, ">= 0"),
+    "data.registry": ("str", "desk", None),  # desk | pair | single
+    "data.n_per_sensor": ("int", 32, ">= 1"),
+    "data.width": ("int", 32, ">= 1"),
+    "data.height": ("int", 32, ">= 1"),
+    "model.width": ("int", 32, ">= 1"),
+    "model.depth": ("int", 4, ">= 0"),
+    "model.heads": ("int", 4, ">= 1"),
+    "model.patch_size": ("int", 4, ">= 1"),
+    "model.mask_unit": ("int", 8, ">= 1"),
+    "model.mask_ratio": ("float", 0.6, "in (0, 1)"),
+    "model.moe": ("bool", True, None),
+    "model.num_experts": ("int", 4, ">= 1"),
+    "model.capacity_factor": ("float", 1.25, ">= 1"),
+    "model.aux_weight": ("float", 0.01, ">= 0"),
+    "model.ffn_mult": ("int", 4, ">= 1"),
+    "train.base_batch": ("int", 8, ">= 1"),
+    "train.base_lr": ("float", 1e-4, "> 0"),
+    "train.epochs": ("int", 2, None),
+    "train.warmup_epochs": ("int", 1, ">= 0"),
+    "train.warmup_lr": ("float", 5e-7, ">= 0"),
+    "train.milestones": ("ints", (), None),
+    "train.gamma": ("float", 0.1, "> 0"),
+    "train.beta1": ("float", 0.9, "in [0, 1)"),
+    "train.beta2": ("float", 0.999, "in [0, 1)"),
+    "train.eps": ("float", 1e-8, "> 0"),
+    "train.weight_decay": ("float", 0.05, ">= 0"),
+    "train.p_cross": ("float", 0.5, "in [0, 1]"),
+    "train.checkpoint_every": ("int", 1, ">= 1"),
+    "train.log_every": ("int", 1, ">= 1"),
+    "transfer.mode": ("str", "shared_encoder_concat", None),  # or channel_stack
+    "transfer.head": ("str", "multilabel", None),  # multilabel | dense_regression | dense_classification
+    "transfer.frozen_trunk": ("bool", False, None),
+    "transfer.sensors": ("strs", (), None),  # empty -> the first registered pair, else sensor 0
+    "transfer.classes": ("int", 4, None),
+    "transfer.steps": ("int", 100, ">= 1"),
+    "transfer.lr": ("float", 1e-3, "> 0"),
+    "transfer.batch": ("int", 8, ">= 1"),
+    "eval.samples": ("int", 8, ">= 1"),
+    "reconstruct.samples": ("int", 4, ">= 1"),
+    "reconstruct.sensor": ("str", "", None),  # empty -> first registered sensor
+}
+
+# allowed values -> test.  Every comparison with NaN is False, so NaN falls
+# outside each range, and the open ranges stop below inf, so a float must
+# also be finite.
+_IN_RANGE = {
+    ">= 1": lambda x: 1 <= x < math.inf,
+    ">= 0": lambda x: 0 <= x < math.inf,
+    "> 0": lambda x: 0 < x < math.inf,
+    "in (0, 1)": lambda x: 0 < x < 1,
+    "in [0, 1)": lambda x: 0 <= x < 1,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+}
+
+
+def check_range(key, value):
+    """Raise a ConfigError naming `key` unless `value` is one of its allowed
+    values."""
+    kind, _, allowed = SCHEMA[key]
+    if allowed is not None and not _IN_RANGE[allowed](value):
+        finite = "finite and " if kind == "float" else ""
+        raise ConfigError(f"{key} must be {finite}{allowed}, got {value}")
+
+
+def keyed(key):
+    """A config-dataclass field that reads `key`, with its SCHEMA default."""
+    return field(default=SCHEMA[key][1], metadata={"key": key})
+
+
+def check_fields(cfg):
+    """check_range on every field of the config dataclass `cfg` that has a key."""
+    for f in fields(cfg):
+        if "key" in f.metadata:
+            check_range(f.metadata["key"], getattr(cfg, f.name))
 
 
 @dataclass(frozen=True)
@@ -22,35 +104,25 @@ class ModelConfig:
     ARCHITECTURE = ("width", "depth", "heads", "patch_size", "image_w", "image_h",
                     "moe", "num_experts", "ffn_mult")
 
-    width: int = 32
-    depth: int = 4
-    heads: int = 4
-    patch_size: int = 4
-    image_w: int = 32
-    image_h: int = 32
-    mask_unit: int = 8
-    mask_ratio: float = 0.6
-    moe: bool = True
-    num_experts: int = 4
-    capacity_factor: float = 1.25
-    aux_weight: float = 0.01
-    ffn_mult: int = 4
-    p_cross: float = 0.5
+    width: int = keyed("model.width")
+    depth: int = keyed("model.depth")
+    heads: int = keyed("model.heads")
+    patch_size: int = keyed("model.patch_size")
+    image_w: int = keyed("data.width")
+    image_h: int = keyed("data.height")
+    mask_unit: int = keyed("model.mask_unit")
+    mask_ratio: float = keyed("model.mask_ratio")
+    moe: bool = keyed("model.moe")
+    num_experts: int = keyed("model.num_experts")
+    capacity_factor: float = keyed("model.capacity_factor")
+    aux_weight: float = keyed("model.aux_weight")
+    ffn_mult: int = keyed("model.ffn_mult")
+    p_cross: float = keyed("train.p_cross")
 
     def __post_init__(self):
-        for name in ("width", "heads", "patch_size", "mask_unit", "image_w", "image_h",
-                     "num_experts", "ffn_mult"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.depth < 0:
-            raise ConfigError(f"depth must be >= 0, got {self.depth}")
+        check_fields(self)
         if self.width % self.heads:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
-        # every comparison with NaN is False, so NaN fails both ranges
-        if not 1.0 <= self.capacity_factor < math.inf:
-            raise ConfigError(f"capacity_factor must be finite and >= 1, got {self.capacity_factor}")
-        if not 0.0 <= self.aux_weight < math.inf:
-            raise ConfigError(f"aux_weight must be finite and >= 0, got {self.aux_weight}")
         if self.image_w % self.mask_unit or self.image_h % self.mask_unit:
             raise ConfigError(
                 f"image {self.image_w}x{self.image_h} not divisible by mask unit {self.mask_unit}"
@@ -59,10 +131,6 @@ class ModelConfig:
             raise ConfigError(
                 f"mask unit {self.mask_unit} not divisible by patch size {self.patch_size}"
             )
-        if not 0.0 < self.mask_ratio < 1.0:
-            raise ConfigError(f"mask ratio must be in (0, 1), got {self.mask_ratio}")
-        if not 0.0 <= self.p_cross <= 1.0:
-            raise ConfigError(f"p_cross must be in [0, 1], got {self.p_cross}")
 
     @property
     def tokens(self):
@@ -121,51 +189,6 @@ def _parse_value(key, raw, where=""):
         raise ConfigError(f"{where}bad value for {key}: {e}") from e
 
 
-# key -> (type name, default)
-SCHEMA = {
-    "seed": ("int", 0),
-    "data.registry": ("str", "desk"),  # desk | pair | single
-    "data.n_per_sensor": ("int", 32),
-    "data.width": ("int", 32),
-    "data.height": ("int", 32),
-    "model.width": ("int", 32),
-    "model.depth": ("int", 4),
-    "model.heads": ("int", 4),
-    "model.patch_size": ("int", 4),
-    "model.mask_unit": ("int", 8),
-    "model.mask_ratio": ("float", 0.6),
-    "model.moe": ("bool", True),
-    "model.num_experts": ("int", 4),
-    "model.capacity_factor": ("float", 1.25),
-    "model.aux_weight": ("float", 0.01),
-    "model.ffn_mult": ("int", 4),
-    "train.base_batch": ("int", 8),
-    "train.base_lr": ("float", 1e-4),
-    "train.epochs": ("int", 2),
-    "train.warmup_epochs": ("int", 1),
-    "train.warmup_lr": ("float", 5e-7),
-    "train.milestones": ("ints", ()),
-    "train.gamma": ("float", 0.1),
-    "train.beta1": ("float", 0.9),
-    "train.beta2": ("float", 0.999),
-    "train.eps": ("float", 1e-8),
-    "train.weight_decay": ("float", 0.05),
-    "train.p_cross": ("float", 0.5),
-    "train.checkpoint_every": ("int", 1),
-    "train.log_every": ("int", 1),
-    "transfer.mode": ("str", "shared_encoder_concat"),  # or channel_stack
-    "transfer.head": ("str", "multilabel"),  # multilabel | dense_regression | dense_classification
-    "transfer.frozen_trunk": ("bool", False),
-    "transfer.sensors": ("strs", ()),  # empty -> all registered sensors
-    "transfer.classes": ("int", 4),
-    "transfer.steps": ("int", 100),
-    "transfer.lr": ("float", 1e-3),
-    "transfer.batch": ("int", 8),
-    "eval.samples": ("int", 8),
-    "reconstruct.samples": ("int", 4),
-    "reconstruct.sensor": ("str", ""),  # empty -> first registered sensor
-}
-
 # published hyperparameters at full scale, for reference and for runs that
 # can afford them; everything else inherits the desk defaults
 PAPER_PRESET = {
@@ -191,32 +214,17 @@ PAPER_PRESET = {
     "train.p_cross": 0.5,
 }
 
-# dataclass fields whose schema key is not `<section>.<field>`
-_FIELD_KEYS = {
-    "image_w": "data.width",
-    "image_h": "data.height",
-    "p_cross": "train.p_cross",
-    "seed": "seed",
-    "num_classes": "transfer.classes",
-}
-
-# keys that no config dataclass range-checks, with the least value each
-# allows; checked whenever a RunConfig is built
-_MINIMUMS = {"seed": 0, "eval.samples": 1, "reconstruct.samples": 1}
-
-
 class RunConfig:
     """Typed view over the flat key space, with schema defaults filled in."""
 
     def __init__(self, values=None):
-        merged = {k: d for k, (_, d) in SCHEMA.items()}
+        merged = {k: d for k, (_, d, _) in SCHEMA.items()}
         for k, v in (values or {}).items():
             if k not in SCHEMA:
                 raise ConfigError(f"unknown config key {k!r}")
             merged[k] = v
-        for k, least in _MINIMUMS.items():
-            if merged[k] < least:
-                raise ConfigError(f"{k} must be >= {least}, got {merged[k]}")
+        for k, v in merged.items():
+            check_range(k, v)
         self._values = merged
 
     def __getitem__(self, key):
@@ -236,19 +244,14 @@ class RunConfig:
         lines = [f"{k} = {_fmt(self._values[k])}" for k in sorted(self._values)]
         return "\n".join(lines) + "\n"
 
-    def build(self, cls, section):
-        """The config dataclass `cls` with every field that has a schema key
-        (`<section>.<field>` unless renamed) read from this run; fields
-        without a key keep their dataclass defaults."""
-        values = {}
-        for f in fields(cls):
-            key = _FIELD_KEYS.get(f.name, f"{section}.{f.name}")
-            if key in SCHEMA:
-                values[f.name] = self._values[key]
-        return cls(**values)
+    def build(self, cls):
+        """The config dataclass `cls` with every field that has a key read
+        from this run; a field without one keeps its default."""
+        return cls(**{f.name: self._values[f.metadata["key"]]
+                      for f in fields(cls) if "key" in f.metadata})
 
     def model_config(self):
-        return self.build(ModelConfig, "model")
+        return self.build(ModelConfig)
 
 
 def parse_config_text(text):

@@ -16,12 +16,13 @@ resumed run continues the exact trajectory of an uninterrupted one.
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from . import tensor as T
+from .config import check_fields, keyed
 from .errors import CompatibilityError, ConfigError, NumericError
 from .model import init_params, round_loss
 from .sensors import MultisensorBatch
@@ -41,50 +42,27 @@ def stream_rng(seed, stream, *extra):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    base_batch: int = 8
-    base_lr: float = 1e-4
-    epochs: int = 2
-    warmup_epochs: int = 1
-    warmup_lr: float = 5e-7
-    milestones: tuple = ()
-    gamma: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.05
-    seed: int = 0
-    checkpoint_every: int = 1  # epochs
-    log_every: int = 1  # steps
-    batch_overrides: dict = field(default_factory=dict)
-    lr_overrides: dict = field(default_factory=dict)
+    base_batch: int = keyed("train.base_batch")
+    base_lr: float = keyed("train.base_lr")
+    epochs: int = keyed("train.epochs")
+    warmup_epochs: int = keyed("train.warmup_epochs")
+    warmup_lr: float = keyed("train.warmup_lr")
+    milestones: tuple = keyed("train.milestones")
+    gamma: float = keyed("train.gamma")
+    beta1: float = keyed("train.beta1")
+    beta2: float = keyed("train.beta2")
+    eps: float = keyed("train.eps")
+    weight_decay: float = keyed("train.weight_decay")
+    seed: int = keyed("seed")
+    checkpoint_every: int = keyed("train.checkpoint_every")  # epochs
+    log_every: int = keyed("train.log_every")  # steps
 
     def __post_init__(self):
-        for name in ("base_batch", "checkpoint_every", "log_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("warmup_epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        # every comparison with NaN is False, so NaN fails each range
-        for names, in_range, want in (
-            (("base_lr", "gamma", "eps"), lambda x: 0 < x < math.inf, "finite and > 0"),
-            (("warmup_lr", "weight_decay"), lambda x: 0 <= x < math.inf, "finite and >= 0"),
-            (("beta1", "beta2"), lambda x: 0 <= x < 1, "in [0, 1)"),
-        ):
-            for name in names:
-                if not in_range(getattr(self, name)):
-                    raise ConfigError(f"{name} must be {want}, got {getattr(self, name)}")
+        check_fields(self)
         if self.warmup_epochs > self.epochs:
             raise ConfigError(
                 f"warmup_epochs {self.warmup_epochs} exceeds epochs {self.epochs}"
             )
-
-    def to_dict(self):
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["milestones"] = list(self.milestones)
-        d["batch_overrides"] = {str(k): v for k, v in self.batch_overrides.items()}
-        d["lr_overrides"] = {str(k): v for k, v in self.lr_overrides.items()}
-        return d
 
 
 @dataclass(frozen=True)
@@ -94,7 +72,7 @@ class ScheduleEntry:
     steps_per_epoch: int
 
 
-def make_schedule(sizes, base_batch, batch_overrides=None, lr_overrides=None):
+def make_schedule(sizes, base_batch):
     """Per-sensor (batch size, lr scale, steps/epoch) from dataset sizes.
 
     The largest sensor receives the base batch, which may not exceed its
@@ -108,17 +86,14 @@ def make_schedule(sizes, base_batch, batch_overrides=None, lr_overrides=None):
     for sid, n in sizes.items():
         if n < 1:
             raise ConfigError(f"sensor {sid} has an empty dataset")
-    batch_overrides = batch_overrides or {}
-    lr_overrides = lr_overrides or {}
     n_max = max(sizes.values())
     if base_batch > n_max:
         raise ConfigError(f"base_batch {base_batch} exceeds the largest sensor's {n_max} samples")
     steps = int(math.ceil(n_max / base_batch))
     out = {}
     for sid, n in sorted(sizes.items()):
-        b = batch_overrides.get(sid, max(1, int(round(base_batch * n / n_max))))
-        scale = lr_overrides.get(sid, b / base_batch)
-        out[sid] = ScheduleEntry(batch_size=b, lr_scale=scale, steps_per_epoch=steps)
+        b = max(1, int(round(base_batch * n / n_max)))
+        out[sid] = ScheduleEntry(batch_size=b, lr_scale=b / base_batch, steps_per_epoch=steps)
     return out
 
 
@@ -223,8 +198,7 @@ class Trainer:
         self.dataset = dataset
         self.model_cfg = model_cfg
         sizes = {sid: len(recs) for sid, recs in dataset.by_sensor.items()}
-        self.schedule = make_schedule(sizes, train_cfg.base_batch,
-                                      train_cfg.batch_overrides, train_cfg.lr_overrides)
+        self.schedule = make_schedule(sizes, train_cfg.base_batch)
         seed = train_cfg.seed
         state = TrainState(init_params(dataset.registry, model_cfg, seed, dtype=dtype),
                            mask_rng=stream_rng(seed, STREAM_MASK),

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import check_fields, keyed
 from .embedder import embed, stacked_embedder
 from .encoder import encode
 from .errors import ConfigError
@@ -38,22 +39,14 @@ HEADS = ("multilabel", "dense_regression", "dense_classification")
 
 @dataclass(frozen=True)
 class TransferConfig:
-    mode: str = "shared_encoder_concat"
-    head: str = "multilabel"
-    frozen_trunk: bool = False
-    task_sensors: tuple = ()
-    num_classes: int = 4
+    mode: str = keyed("transfer.mode")
+    head: str = keyed("transfer.head")
+    frozen_trunk: bool = keyed("transfer.frozen_trunk")
+    num_classes: int = keyed("transfer.classes")
     out_channels: int = 1
-    steps: int = 100
-    lr: float = 1e-3
-    batch: int = 8
 
     def __post_init__(self):
-        for name in ("steps", "batch"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"transfer.{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 < self.lr < math.inf:  # NaN fails too
-            raise ConfigError(f"transfer.lr must be finite and > 0, got {self.lr}")
+        check_fields(self)
         if self.mode not in MODES:
             raise ConfigError(f"unknown transfer mode {self.mode!r}, expected one of {MODES}")
         if self.head not in HEADS:

@@ -218,6 +218,7 @@ def test_parse_grid():
 
 @pytest.mark.parametrize("grid", [
     "moe=nan", "moe=inf", "moe=2", "moe=0.5", "cross=nan", "cross=inf",
+    "cross=0.5,0.5", "cross=0.1234561,0.1234562",  # two values, one cell directory
 ])
 def test_bad_grid_value_exits_2(ws, tmp_path, capsys, grid):
     assert main(["ablate", "--config", ws["cfg"], "--data", ws["data"],

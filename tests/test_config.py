@@ -1,7 +1,9 @@
 """Run configuration: schema, parsing, overrides, model-config mapping."""
 
 import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -107,16 +109,16 @@ def test_model_config_view_pulls_from_flat_keys():
     assert (mcfg.image_w, mcfg.image_h) == (16, 48)
     assert mcfg.p_cross == 0.2
     assert mcfg.heads == 3
-    tcfg = run.build(TrainConfig, "train")
+    tcfg = run.build(TrainConfig)
     assert (tcfg.seed, tcfg.epochs) == (5, 7)
-    assert run.build(TransferConfig, "transfer").num_classes == 3
+    assert run.build(TransferConfig).num_classes == 3
 
 
 def test_schema_defaults_match_dataclass_defaults():
     run = desk_config()
     assert run.model_config() == ModelConfig()
-    assert run.build(TrainConfig, "train") == TrainConfig()
-    assert run.build(TransferConfig, "transfer") == TransferConfig()
+    assert run.build(TrainConfig) == TrainConfig()
+    assert run.build(TransferConfig) == TransferConfig()
 
 
 def test_presets():
@@ -143,8 +145,8 @@ def test_any_typed_value_builds_usable_configs_or_raises_config_error(key):
     for raw in ("abc", "0", "-1", "nan", "inf", "1e12"):
         try:
             run = desk_config().with_overrides({key: raw})
-            built = (run.model_config(), run.build(TrainConfig, "train"),
-                     run.build(TransferConfig, "transfer"))
+            built = (run.model_config(), run.build(TrainConfig),
+                     run.build(TransferConfig))
         except ConfigError:
             continue
         floats = [getattr(c, f.name) for c in built for f in fields(c)
@@ -152,3 +154,66 @@ def test_any_typed_value_builds_usable_configs_or_raises_config_error(key):
         assert all(math.isfinite(v) for v in floats), (key, raw)
         assert run["eval.samples"] >= 1 and run["reconstruct.samples"] >= 1, (key, raw)
         stream_rng(run["seed"], 0)
+
+
+# key -> (config dataclass, field name) for every field that reads a key
+OWNERS = {f.metadata["key"]: (cls, f.name)
+          for cls in (ModelConfig, TrainConfig, TransferConfig)
+          for f in fields(cls) if "key" in f.metadata}
+RANGED = sorted(k for k, (_, _, allowed) in SCHEMA.items() if allowed is not None)
+
+
+def range_edges(key):
+    """(the nearest values outside the key's range, its closed bounds)."""
+    kind, _, allowed = SCHEMA[key]
+
+    def past(x, way):  # the next value of the key's type beyond x, way = -1 or 1
+        return x + way if kind == "int" else math.nextafter(x, way * math.inf)
+
+    outside, closed = {
+        ">= 1": ([past(1, -1)], [1]),
+        ">= 0": ([past(0, -1)], [0]),
+        "> 0": ([0], []),
+        "in (0, 1)": ([0, 1], []),
+        "in [0, 1)": ([past(0, -1), 1], [0]),
+        "in [0, 1]": ([past(0, -1), past(1, 1)], [0, 1]),
+    }[allowed]
+    if kind == "int":
+        return outside, closed
+    return [float(v) for v in outside] + [math.nan, math.inf, -math.inf], [float(v) for v in closed]
+
+
+@pytest.mark.parametrize("key", RANGED)
+def test_each_range_rejects_the_nearest_value_outside_and_takes_closed_bounds(key):
+    outside, closed = range_edges(key)
+    owner = OWNERS.get(key)
+    for value in outside:
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            desk_config().with_overrides({key: value})
+        if owner:
+            cls, name = owner
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                cls(**{name: value})
+    for value in closed:
+        assert desk_config().with_overrides({key: value})[key] == value
+        if owner:
+            cls, name = owner
+            try:  # a rule relating two keys may still refuse the value
+                cls(**{name: value})
+            except ConfigError as e:
+                assert key not in str(e), e
+
+
+def test_readme_table_lists_every_ranged_key():
+    """Each row of the README's allowed-values table starts its allowed
+    values with the SCHEMA range of every key it names."""
+    readme = Path(__file__).resolve().parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    listed = {}
+    for line in readme.split("| key | allowed values |", 1)[1].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        names, allowed = (cell.strip() for cell in line.strip("|").split("|"))
+        for key in re.findall(r"`([a-z0-9_.]+)`", names):
+            listed[key] = allowed.split(";")[0].strip()
+    for key in RANGED:
+        assert listed.get(key) == SCHEMA[key][2], key

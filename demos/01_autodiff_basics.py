@@ -13,7 +13,8 @@ import crossmim.tensor as T
 
 def main():
     print("== a one-unit GELU feed-forward ==")
-    x = T.Tensor([[1.5]], requires_grad=True)
+    # float64, where the GELU is scipy's erf form, so the two derivatives agree
+    x = T.Tensor([[1.5]], requires_grad=True, dtype=np.float64)
     one, zero = T.constant([[1.0]], like=x), T.constant([0.0], like=x)
     with T.fresh_tape():
         # ffn with unit weights and zero biases is gelu(x)

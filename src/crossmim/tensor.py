@@ -2,10 +2,11 @@
 
 Every differentiable operation is a primitive with a hand-written gradient,
 including the fused layers, one tape node each: `linear`, `softmax`,
-`layer_norm`, the exact-GELU feed-forward `ffn`, the gated expert bank
-`moe_ffn`, and multi-head attention `attend`.  Their composite forms
-survive only as float64 oracles in the tests.  Patch reshapes and `l1_loss`
-are the only compositions here.
+`layer_norm`, the GELU feed-forward `ffn`, the gated expert bank `moe_ffn`,
+and multi-head attention `attend`.  The GELU is the exact h * Phi(h); Phi
+comes from scipy's erf in float64 and from a NumPy normal tail in float32.
+Their composite forms survive only as float64 oracles in the tests.  Patch
+reshapes and `l1_loss` are the only compositions here.
 Operations are recorded on a tape in execution order; ``backward`` walks
 the tape in exact reverse order, so recording order doubles as the
 topological order.  There is no other global state.
@@ -466,40 +467,88 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return _record(out, (x, gamma, beta), back)
 
 
-def _ffn_forward(x, w1, b1, w2, b2):
-    """gelu(x @ w1 + b1) @ w2 + b2 on arrays, with the exact erf GELU.
+# Abramowitz & Stegun 7.1.26 for the upper normal tail, rewritten to take h
+# rather than h / sqrt(2): 1 - Phi(|h|) = t * poly(t) * exp(-h^2 / 2) with
+# t = 1 / (1 + _TAIL_P * |h|); its erf error is at most 1.5e-7.  Python
+# floats, highest power first, so float32 input stays float32.
+_TAIL_P = 0.3275911 / math.sqrt(2.0)
+_TAIL_POLY = tuple(0.5 * a for a in (1.061405429, -1.453152027, 1.421413741,
+                                     -0.284496736, 0.254829592))
+# float32 elements per GELU block: its temporaries (128 KiB each) stay in cache
+_GELU_BLOCK = 1 << 15
 
-    Returns the output, the pre-activation h and its normal cdf; the
-    backward pass keeps only those two and recomputes the GELU as h * cdf.
+
+def _gelu(h):
+    """(gelu(h), gelu'(h)) = (h Phi(h), Phi(h) + h phi(h)), exact GELU.
+
+    Float64 takes Phi from scipy's erf.  Float32 takes it from the A&S tail
+    above, within 4.2e-7 of float64 for both values, and shares one
+    exp(-h^2 / 2) between Phi and phi; it overwrites h with gelu(h), so h
+    must be a fresh C-contiguous array.
     """
-    h = np.matmul(x, w1) + b1
-    # Python floats, not NumPy float64 scalars, keep float32 input float32
-    cdf = 0.5 * (1.0 + erf(h * (1.0 / math.sqrt(2.0))))
-    return np.matmul(h * cdf, w2) + b2, h, cdf
+    if h.dtype == np.float64:
+        cdf = 0.5 * (1.0 + erf(h * (1.0 / math.sqrt(2.0))))
+        pdf = np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
+        return h * cdf, cdf + h * pdf
+    dact = np.empty_like(h)
+    flat_h, flat_d = h.reshape(-1), dact.reshape(-1)
+    for start in range(0, flat_h.size, _GELU_BLOCK):
+        x, d = flat_h[start:start + _GELU_BLOCK], flat_d[start:start + _GELU_BLOCK]
+        e = x * x
+        e *= -0.5
+        np.exp(e, out=e)
+        t = np.abs(x)
+        t *= _TAIL_P
+        t += 1.0
+        np.reciprocal(t, out=t)
+        q = t * _TAIL_POLY[0]
+        for c in _TAIL_POLY[1:]:
+            q += c
+            q *= t
+        q *= e  # 1 - Phi(|x|)
+        np.copysign(q, x, out=q)
+        # Phi(x) = [x >= 0] - copysign(q, x); signbit, not x >= 0, keeps
+        # Phi(-0.0) at 1/2
+        cdf = np.subtract(~np.signbit(x), q, out=q)
+        np.multiply(e, 1.0 / math.sqrt(2.0 * math.pi), out=d)
+        d *= x
+        d += cdf
+        x *= cdf
+    return h, dact
 
 
-def _ffn_backward(g, x, h, cdf, w1, b1, w2, b2):
+def _ffn_forward(x, w1, b1, w2, b2):
+    """gelu(x @ w1 + b1) @ w2 + b2 on arrays, with the exact GELU of `_gelu`.
+
+    Returns the output, the GELU output and the GELU derivative; the
+    backward pass keeps only those two hidden-sized arrays.
+    """
+    act, dact = _gelu(np.matmul(x, w1) + b1)
+    return np.matmul(act, w2) + b2, act, dact
+
+
+def _ffn_backward(g, x, act, dact, w1, b1, w2, b2):
     """Accumulate the parameter gradients of `_ffn_forward`; return x's."""
-    _accumulate(w2, np.matmul(np.swapaxes(h * cdf, -1, -2), g))
+    _accumulate(w2, np.matmul(np.swapaxes(act, -1, -2), g))
     _accumulate_rows(b2, g)
-    pdf = np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
-    gh = np.matmul(g, w2.data.T) * (cdf + h * pdf)
+    gh = np.matmul(g, w2.data.T)
+    gh *= dact
     _accumulate(w1, np.matmul(np.swapaxes(x, -1, -2), gh))
     _accumulate_rows(b1, gh)
     return np.matmul(gh, w1.data.T)
 
 
 def ffn(x, w1, b1, w2, b2):
-    """linear(gelu(linear(x, w1, b1)), w2, b2) for x (..., K), exact erf GELU."""
+    """linear(gelu(linear(x, w1, b1)), w2, b2) for x (..., K), exact GELU."""
     if x.ndim < 2 or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
         raise ShapeError(f"ffn needs (..., K), (K, H) and (H, N) operands, got "
                          f"{tuple(x.shape)}, {tuple(w1.shape)} and {tuple(w2.shape)}")
     params = (w1, b1, w2, b2)
-    y, h, cdf = _ffn_forward(x.data, *(p.data for p in params))
+    y, act, dact = _ffn_forward(x.data, *(p.data for p in params))
     out = Tensor(y)
 
     def back(g):
-        _accumulate(x, _ffn_backward(g, x.data, h, cdf, *params))
+        _accumulate(x, _ffn_backward(g, x.data, act, dact, *params))
 
     return _record(out, (x,) + params, back)
 
@@ -516,19 +565,19 @@ def moe_ffn(rows, probs, groups, experts):
     gates = probs.data.reshape(len(rows.data), -1)
     params = [tuple(e[k] for k in ("w1", "b1", "w2", "b2")) for e in experts]
     out = np.zeros_like(rows.data)
-    kept = []  # (expert, row indices, FFN output, h, cdf) per expert with rows
+    kept = []  # (expert, row indices, FFN output, GELU, GELU') per expert with rows
     for e, idx in enumerate(groups):
         if len(idx):
-            y, h, cdf = _ffn_forward(rows.data[idx], *(p.data for p in params[e]))
+            y, act, dact = _ffn_forward(rows.data[idx], *(p.data for p in params[e]))
             out[idx] = y * gates[idx, e][:, None]
-            kept.append((e, idx, y, h, cdf))
+            kept.append((e, idx, y, act, dact))
 
     def back(g):
         g_rows, g_gates = np.zeros_like(rows.data), np.zeros_like(gates)
-        for e, idx, y, h, cdf in kept:
+        for e, idx, y, act, dact in kept:
             ge = g[idx]
             g_gates[idx, e] = (ge * y).sum(axis=1)
-            g_rows[idx] = _ffn_backward(ge * gates[idx, e][:, None], rows.data[idx], h, cdf,
+            g_rows[idx] = _ffn_backward(ge * gates[idx, e][:, None], rows.data[idx], act, dact,
                                         *params[e])
         _accumulate(rows, g_rows)
         _accumulate(probs, g_gates.reshape(probs.data.shape))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import check_fields, keyed
+from .config import check_fields, check_range, keyed
 from .embedder import embed, stacked_embedder
 from .encoder import encode
 from .errors import ConfigError
@@ -243,6 +243,9 @@ def finetune(registry, model_cfg, tcfg, task_sensors, samples, pretrained,
     Returns (params, losses): the adapted parameter table and the per-step
     task loss trajectory.
     """
+    for key, value in (("transfer.steps", steps), ("transfer.lr", lr),
+                       ("transfer.batch", batch_size)):
+        check_range(key, value)
     cfg = TrainConfig(base_lr=lr, warmup_epochs=0, seed=seed)
     params = init_transfer_params(pretrained, registry, model_cfg, tcfg,
                                   task_sensors, seed)

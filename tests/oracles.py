@@ -3,9 +3,10 @@
 Everything here is deliberately written as plain loops (or the most naive
 numpy expression available) over raw arrays, avoiding the library's own
 code paths, so that a bug on either side shows up as a disagreement.  The
-one exception is the per-sample pretraining round at the end, which runs
-the library's layers one sample at a time as a reference for its batched
-round.
+exceptions are the float32 GELU inside the MoE dispatch oracle, which is
+the library's own (the oracle checks dispatch, not the GELU), and the
+per-sample pretraining round at the end, which runs the library's layers
+one sample at a time as a reference for its batched round.
 """
 
 import math
@@ -13,6 +14,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
+from crossmim import tensor as T
 from crossmim.decoders import choose_targets, reconstruction_loss
 from crossmim.masking import draw_mask, to_token_mask
 from crossmim.model import reconstruct_sample
@@ -301,8 +303,8 @@ def moe_dispatch_naive(x, gate_w, experts, capacity_factor):
     Every routing decision is re-derived with explicit loops: argmax with
     lowest-index tie break, capacity truncation in arrival order, gate
     scaling and zero rows for dropped tokens.  The expert feed-forward math
-    runs on the same kept-row batches the library builds, so a correct
-    implementation matches bit for bit.
+    runs on the same kept-row batches the library builds, with the library's
+    float32 GELU, so a correct implementation matches bit for bit.
 
     Returns (combined, aux, kept_counts, dropped_tokens).
     """
@@ -338,7 +340,10 @@ def moe_dispatch_naive(x, gate_w, experts, capacity_factor):
             continue
         xe = x[np.asarray(rows, dtype=np.intp)]
         h = xe @ experts[j]["w1"] + experts[j]["b1"].reshape(1, -1)
-        h = h * (0.5 * (1.0 + erf(h * (1.0 / math.sqrt(2.0)))))
+        if h.dtype == np.float32:
+            h = T._gelu(h)[0]
+        else:
+            h = h * (0.5 * (1.0 + erf(h * (1.0 / math.sqrt(2.0)))))
         ye = h @ experts[j]["w2"] + experts[j]["b2"].reshape(1, -1)
         for row, t in enumerate(rows):
             combined[t] = ye[row] * probs[t, j]

@@ -94,14 +94,21 @@ def test_attention_gradients(rng):
 
 def tape_arrays(tape):
     """Every distinct array the tape keeps alive: node outputs and the arrays
-    and tensors their backward closures capture."""
+    and tensors their backward closures capture, also inside lists and
+    tuples."""
     found = {}
+
+    def visit(item):
+        if isinstance(item, (list, tuple)):
+            for sub in item:
+                visit(sub)
+            return
+        arr = item.data if isinstance(item, T.Tensor) else item
+        if isinstance(arr, np.ndarray):
+            found[id(arr)] = arr
+
     for out, fn in tape.nodes:
-        held = [out] + [c.cell_contents for c in fn.__closure__ or ()]
-        for item in held:
-            arr = item.data if isinstance(item, T.Tensor) else item
-            if isinstance(arr, np.ndarray):
-                found[id(arr)] = arr
+        visit([out] + [c.cell_contents for c in fn.__closure__ or ()])
     return list(found.values())
 
 
@@ -114,6 +121,35 @@ def test_attention_tape_keeps_one_score_sized_array(rng):
         scores = [a for a in tape_arrays(tape) if a.shape[-2:] == (n, n)]
     assert len(scores) == 1
     assert scores[0].shape == (b, heads, n, n)
+
+
+def hidden_sized(tape, hidden, params):
+    """Tape arrays whose last axis is the FFN hidden width, parameters aside."""
+    skip = {id(p.data) for p in params}
+    return [a for a in tape_arrays(tape) if a.shape[-1:] == (hidden,) and id(a) not in skip]
+
+
+def test_ffn_tape_keeps_two_hidden_sized_arrays(rng):
+    b, n, d, hidden = 2, 7, 8, 11  # the hidden width differs from every other axis length
+    x = T.Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+    params = [T.Tensor(rng.normal(size=s), requires_grad=True)
+              for s in ((d, hidden), (hidden,), (hidden, d), (d,))]
+    with T.fresh_tape() as tape:
+        T.ffn(x, *params)
+        kept = hidden_sized(tape, hidden, params)
+    assert [a.shape for a in kept] == [(b, n, hidden)] * 2
+
+
+def test_moe_ffn_tape_keeps_two_hidden_sized_arrays_per_expert_with_rows(rng):
+    x, gate_w, bank = moe_case(rng, n_tokens=12, d=8, experts=4, hidden=16)
+    groups = [np.array([0, 5, 7]), np.array([], dtype=np.intp), np.array([1, 2]),
+              np.array([3, 4, 6, 9])]  # rows 8, 10 and 11 dropped; expert 1 idle
+    probs = T.Tensor(rng.random((12, 4)), requires_grad=True)
+    params = [p for e in bank for p in e.values()]
+    with T.fresh_tape() as tape:
+        T.moe_ffn(T.Tensor(x, requires_grad=True), probs, groups, bank)
+        kept = hidden_sized(tape, 16, params)
+    assert sorted(a.shape for a in kept) == [(2, 16)] * 2 + [(3, 16)] * 2 + [(4, 16)] * 2
 
 
 def moe_case(rng, n_tokens=12, d=8, experts=4, hidden=16, dtype=np.float32):

@@ -279,3 +279,19 @@ def test_desk_round_tape_budget():
     assert len(tape) <= 500
     assert {"ffn", "moe_ffn", "attend"} <= kinds
     assert not kinds & {"gelu", "put_rows"}
+
+
+def test_float32_desk_round_never_calls_scipy_erf(monkeypatch):
+    """The float32 GELU is NumPy's own; scipy's erf serves float64 only."""
+    scipy_erf = T.erf
+
+    def float64_only(x):
+        if x.dtype != np.float64:
+            raise AssertionError(f"scipy erf called on {x.dtype}")
+        return scipy_erf(x)
+
+    monkeypatch.setattr(T, "erf", float64_only)
+    ds = gen_synthetic(desk_registry(), 32, 32, 32, seed=7)
+    trainer = Trainer(ds, ModelConfig(), TrainConfig(base_batch=8, seed=7))
+    trainer.train_step()
+    assert len(trainer.state.history) == 1 and np.isfinite(trainer.state.history[0])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
 import crossmim.tensor as T
 from crossmim.errors import NumericError, ShapeError
@@ -169,6 +169,55 @@ def test_forward_gelu_matches_erf_formula(rng):
     out = T.ffn(T.Tensor(x, dtype=np.float64), eye, zero, eye, zero)
     expect = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
     np.testing.assert_allclose(out.data, expect, rtol=1e-12)
+
+
+# float32 GELU and GELU' against float64, absolute: 4.2 ulp of 1.0, 5.0e-7
+GELU32_BOUND = 4.2 * float(np.finfo(np.float32).eps)
+
+
+def erf_gelu(h):
+    """(gelu, gelu') through scipy's erf, in h's own dtype."""
+    cdf = 0.5 * (1.0 + erf(h * (1.0 / np.sqrt(2.0))))
+    return h * cdf, cdf + h * (np.exp(-0.5 * h * h) / np.sqrt(2.0 * np.pi))
+
+
+def test_float32_gelu_within_bound_of_float64_ndtr():
+    tails = [1e-30, 10.0, 1e4]
+    h = np.concatenate([np.linspace(-6.0, 6.0, 1_200_001), tails, np.negative(tails)])
+    h = h.astype(np.float32)
+    act, dact = T._gelu(h.copy())
+    assert act.dtype == dact.dtype == np.float32
+    h64 = h.astype(np.float64)
+    cdf = ndtr(h64)
+    want = (h64 * cdf, cdf + h64 * np.exp(-0.5 * h64 * h64) / np.sqrt(2.0 * np.pi))
+    for got, exact in zip((act, dact), want):
+        err = np.abs(got - exact).max()
+        assert err <= GELU32_BOUND, f"{err:.3e} = {err / np.finfo(np.float32).eps:.2f} ulp of 1.0"
+
+
+def test_float32_gelu_special_values_match_erf_path():
+    h = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=np.float32)
+    with np.errstate(invalid="ignore"):
+        got, want = T._gelu(h.copy()), erf_gelu(h)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float32
+        np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(np.signbit(g[1:]), np.signbit(w[1:]))
+
+
+@pytest.mark.parametrize("name", ["ffn", "moe_ffn"])
+def test_float32_ffn_within_bound_of_float64_oracle(name, rng):
+    # measured worst over 200 draws: 1.1e-6 of the scale (7e-7 with scipy's erf)
+    arrays, fused, composite = fused_and_composite(name, rng)
+    leaves = [T.Tensor(a.astype(np.float32), requires_grad=True) for a in arrays]
+    with T.fresh_tape():
+        out = fused(*leaves)
+        g = rng.normal(size=out.shape)
+        T.backward(T.reduce_sum(out * T.constant(g, like=out)))
+    expect = composite(*arrays, g)
+    for got, want in zip([out.data] + [leaf.grad for leaf in leaves], expect):
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=0, atol=4e-6 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,18 @@ def test_finetune_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seed"):
         finetune(REG, MCFG, tcfg, (0,), make_task(ds, tcfg, (0,)), pretrained=None,
                  steps=1, lr=1e-3, batch_size=4, seed=-1)
+
+
+@pytest.mark.parametrize("arg, key, bad", [
+    ("steps", "transfer.steps", 0), ("lr", "transfer.lr", 0.0),
+    ("lr", "transfer.lr", float("nan")), ("batch_size", "transfer.batch", 0)])
+def test_finetune_rejects_bad_arguments_by_transfer_key(arg, key, bad):
+    ds = dataset(n=4)
+    tcfg = TransferConfig(head="multilabel", num_classes=2)
+    kwargs = dict(steps=1, lr=1e-3, batch_size=4, seed=2)
+    kwargs[arg] = bad
+    with pytest.raises(ConfigError, match="^" + re.escape(key) + " must be"):
+        finetune(REG, MCFG, tcfg, (0,), make_task(ds, tcfg, (0,)), pretrained=None, **kwargs)
 
 
 def test_finetune_from_scratch_baseline_runs():

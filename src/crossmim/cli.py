@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or data-format error,
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -76,8 +75,8 @@ def _fmt_cell(v):
         return "-"
     if isinstance(v, str):
         return v
-    if isinstance(v, float):
-        return "inf" if math.isinf(v) else f"{v:.4f}"
+    if isinstance(v, (float, np.floating)):
+        return f"{v:.4f}"
     return str(v)
 
 
@@ -98,7 +97,7 @@ def format_table(headers, rows):
 
 
 def _write_json(path, obj):
-    ckpt.write_atomic(path, json.dumps(json_safe(obj), indent=2))
+    ckpt.write_atomic(path, json.dumps(json_safe(obj), indent=2, allow_nan=False))
 
 
 def _evaluate(params, model_cfg, dataset, run):

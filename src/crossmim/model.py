@@ -116,9 +116,10 @@ def round_loss(params, cfg, dataset, batch, mask_rng, cross_rng, p_cross=None):
     """Loss for one optimization round over every sensor's batch.
 
     Sensors are visited in id order.  Per sensor, one mask plan is drawn per
-    sample, then targets are chosen; the sensor's whole batch runs through
-    the trunk at once, its rows are decoded in one group per target sensor,
-    and the per-sample masked L1 losses and balance losses are averaged.
+    sample, then targets are chosen, and the sensor's batch is embedded.
+    The token batches are stacked in sensor order and run through the trunk
+    once; each sensor's rows are decoded in one group per target sensor,
+    and its per-sample masked L1 losses and balance losses are averaged.
     Returns the combined scalar
 
         sum_sensors ( mean L1 + aux_weight * mean balance )
@@ -128,9 +129,7 @@ def round_loss(params, cfg, dataset, batch, mask_rng, cross_rng, p_cross=None):
     """
     if p_cross is None:
         p_cross = cfg.p_cross
-    total = None
-    stats = {"sensors": {}, "cross_samples": 0, "self_samples": 0}
-    all_reports = []
+    sensors, token_batches = [], []  # (sensor id, targets) and tokens per sensor
     for sensor_id in sorted(batch.per_sensor):
         records = batch.per_sensor[sensor_id]
         if not records:
@@ -140,32 +139,40 @@ def round_loss(params, cfg, dataset, batch, mask_rng, cross_rng, p_cross=None):
                                    cfg.mask_ratio, mask_rng)
             for r in records
         }
-        targets = choose_targets(records, dataset, plans, p_cross, cross_rng)
+        sensors.append((sensor_id, choose_targets(records, dataset, plans, p_cross, cross_rng)))
         images = np.stack([dataset.image(r.sample_id) for r in records])
         token_masks = np.stack([to_token_mask(plans[r.sample_id], cfg.patch_size)
                                 for r in records])
-        tokens = embed(T.constant(images), params, f"embedder.{sensor_id}.", token_masks)
-        feats, aux, reports = encode(tokens, cfg, params)
-        all_reports.extend(reports)
+        token_batches.append(embed(T.constant(images), params, f"embedder.{sensor_id}.",
+                                   token_masks))
+    if not sensors:
+        raise NumericError("round contained no samples")
+    tokens = token_batches[0] if len(token_batches) == 1 else T.concat(token_batches)
+    feats, aux, reports = encode(tokens, cfg, params)
+    total = None
+    stats = {"sensors": {}, "cross_samples": 0, "self_samples": 0}
+    start = 0
+    for sensor_id, targets in sensors:
+        n = len(targets)
         mim_sum = None
         for target_sensor in sorted({t.target_sensor for t in targets}):
             rows = [i for i, t in enumerate(targets) if t.target_sensor == target_sensor]
-            group = feats if len(rows) == len(targets) else T.take_rows(feats, rows)
+            group = (feats if len(rows) == feats.shape[0]
+                     else T.take_rows(feats, [start + i for i in rows]))
             pred = decode(group, params, target_sensor, cfg)
             loss = T.reduce_sum(reconstruction_loss(pred, [targets[i] for i in rows]))
             mim_sum = loss if mim_sum is None else mim_sum + loss
         for t in targets:
             stats["cross_samples" if t.is_cross else "self_samples"] += 1
-        n = float(len(records))
         sensor_mim = mim_sum * (1.0 / n)
-        sensor_aux = T.reduce_sum(aux) * (1.0 / n)
+        own_aux = aux if n == aux.shape[0] else T.take_rows(aux, range(start, start + n))
+        sensor_aux = T.reduce_sum(own_aux) * (1.0 / n)
         contribution = sensor_mim + cfg.aux_weight * sensor_aux
         total = contribution if total is None else total + contribution
         stats["sensors"][sensor_id] = {
             "mim": float(sensor_mim.data),
             "aux": float(sensor_aux.data),
         }
-    if total is None:
-        raise NumericError("round contained no samples")
+        start += n
     stats["loss_total"] = float(total.data)
-    return total, stats, all_reports
+    return total, stats, reports

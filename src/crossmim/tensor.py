@@ -377,13 +377,17 @@ def reduce_mean(a, axis=None, keepdims=False):
 
 
 def take_rows(a, indices):
-    """Gather rows along axis 0; gradient scatter-adds them back."""
+    """Gather rows along axis 0; gradient scatters them back, adding the
+    rows of a repeated index."""
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(a.data[idx])
 
     def back(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        if np.unique(idx % len(full)).size == idx.size:
+            full[idx] = g
+        else:
+            np.add.at(full, idx, g)
         _accumulate(a, full)
 
     return _record(out, (a,), back)
@@ -476,6 +480,9 @@ _TAIL_POLY = tuple(0.5 * a for a in (1.061405429, -1.453152027, 1.421413741,
                                      -0.284496736, 0.254829592))
 # float32 elements per GELU block: its temporaries (128 KiB each) stay in cache
 _GELU_BLOCK = 1 << 15
+# bytes of attention scores per sample block: a block's scores and its
+# backward dS^T work array stay in cache together
+_ATTEND_BLOCK = 1 << 19
 
 
 def _gelu(h):
@@ -589,40 +596,54 @@ def attend(q, k, v, heads):
     """Multi-head softmax(q_h @ k_h^T / sqrt(dh)) @ v_h over (B, L, D) q, k, v.
 
     Head h owns features [h * dh, (h + 1) * dh) of D; heads are split and
-    merged through strided views, with no per-head copies.  The scores
-    become probabilities in place, and only those are kept.  The backward pass is
-    FlashAttention's without its tiling: dS = P * (dP - rowsum(dO * O)).
+    merged through strided views, with no per-head copies.  Scores are
+    formed keys-major, k_h @ q_h^T shaped (B, H, L_k, L_q), so the softmax
+    reduces down columns, vectorised across queries.  They are formed and
+    consumed one block of samples at a time, sized by `_ATTEND_BLOCK`, so a
+    block's scores stay in cache and each sample's arithmetic does not
+    depend on B.  The scores become probabilities in place, and only those
+    are kept.  The backward pass is FlashAttention's without its tiling,
+    dS = P * (dP - rowsum(dO * O)), and writes dq, dk and dv straight into
+    (B, L, D) arrays.
     """
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % heads:
         raise ShapeError(f"attend needs equal (B, L, D) q, k, v with D divisible by "
                          f"{heads} heads, got {tuple(q.shape)}, {tuple(k.shape)}, {tuple(v.shape)}")
     b, n, d = q.shape
     scale = 1.0 / math.sqrt(d // heads)
+    dtype = q.data.dtype
 
     def split(a):  # (B, L, D) -> (B, H, L, dh) view
         return a.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
 
-    def merged(x, y):  # x @ y written straight into a (B, L, D) array
-        out = np.empty((b, n, d), dtype=q.data.dtype)
-        np.matmul(x, y, out=split(out))
-        return out
-
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
-    p *= scale
-    _softmax_rows(p)
-    out = Tensor(merged(p, vh))
+    pt = np.empty((b, heads, n, n), dtype=dtype)  # P^T: keys down, queries across
+    step = max(1, _ATTEND_BLOCK // max(1, pt[:1].nbytes))
+    blocks = [slice(i, i + step) for i in range(0, b, step)]
+    y = np.empty((b, n, d), dtype=dtype)
+    for blk in blocks:
+        s = np.matmul(kh[blk], np.swapaxes(qh[blk], -1, -2), out=pt[blk])
+        s *= scale
+        _softmax_rows(s, axis=-2)
+        np.matmul(np.swapaxes(s, -1, -2), vh[blk], out=split(y)[blk])
+    out = Tensor(y)
 
     def back(g):
-        gh = split(g)
-        ds = np.matmul(gh, np.swapaxes(vh, -1, -2))
-        ds -= (gh * split(out.data)).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        _accumulate(v, merged(np.swapaxes(p, -1, -2), gh))
-        _accumulate(q, merged(ds, kh))
-        gkt = np.matmul(np.swapaxes(qh, -1, -2), ds)  # (B, H, dh, L)
-        _accumulate(k, gkt.transpose(0, 3, 1, 2).reshape(b, n, d))
+        gh, oh = split(g), split(out.data)
+        gq, gk, gv = (np.empty((b, n, d), dtype=dtype) for _ in range(3))
+        work = np.empty_like(pt[:step])  # one block's dS^T, reused
+        for blk in blocks:
+            p = pt[blk]
+            ds = np.matmul(vh[blk], np.swapaxes(gh[blk], -1, -2), out=work[:len(p)])  # dP^T
+            ds -= (gh[blk] * oh[blk]).sum(axis=-1)[..., None, :]
+            ds *= p
+            ds *= scale
+            np.matmul(p, gh[blk], out=split(gv)[blk])
+            np.matmul(np.swapaxes(ds, -1, -2), kh[blk], out=split(gq)[blk])
+            np.matmul(ds, qh[blk], out=split(gk)[blk])
+        _accumulate(v, gv)
+        _accumulate(q, gq)
+        _accumulate(k, gk)
 
     return _record(out, (q, k, v), back)
 

@@ -312,7 +312,8 @@ class Trainer:
         if self.dump_dir:
             path = os.path.join(self.dump_dir, f"diagnostic-step{self.state.step}.json")
             ckpt.write_atomic(path, json.dumps({"error": str(err),
-                                                "diagnostics": json_safe(diag)}, indent=2))
+                                                "diagnostics": json_safe(diag)},
+                                               indent=2, allow_nan=False))
             diag["dump_path"] = path
         return NumericError(str(err), diagnostics=diag)
 
@@ -395,15 +396,15 @@ def _routing_summary(reports):
 
 def json_safe(obj):
     """`obj` with NumPy scalars and arrays as Python values, tuples as lists,
-    keys as strings and infinities as the string "inf", for `json.dump`."""
+    keys as strings and non-finite floats as the strings "inf", "-inf" and
+    "nan", so that `json.dumps(..., allow_nan=False)` accepts it."""
     if isinstance(obj, dict):
         return {str(k): json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_safe(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return value if math.isfinite(value) else str(value)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):

@@ -229,13 +229,16 @@ def test_bad_grid_value_exits_2(ws, tmp_path, capsys, grid):
 
 def test_format_table_alignment():
     table = format_table(["name", "a", "b"],
-                         [["row1", 1.0, None], ["longer-row", float("inf"), 3]])
+                         [["row1", 1.0, None], ["longer-row", float("inf"), 3],
+                          ["r3", -np.inf, np.float32(0.5)], ["r4", np.float32(np.nan), -np.inf]])
     lines = table.splitlines()
-    assert len(lines) == 4 and table.endswith("\n")
+    assert len(lines) == 6 and table.endswith("\n")
     assert len({len(l) for l in lines}) == 1
     assert set(lines[1]) <= {"-", " "}
     assert "1.0000" in lines[2] and lines[2].rstrip().endswith("-")
     assert "inf" in lines[3] and lines[3].rstrip().endswith("3")
+    assert lines[4].split() == ["r3", "-inf", "0.5000"]
+    assert lines[5].split() == ["r4", "nan", "-inf"]
 
 
 def test_config_error_exit_codes(ws, tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Parameter table construction and the pretraining round loss."""
 
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossmim.model
 import crossmim.tensor as T
 from crossmim.config import ModelConfig
 from crossmim.decoders import decode
@@ -264,21 +267,51 @@ def test_criterion_1_loss_records_every_model_primitive():
                    stream_rng(1, STREAM_MASK), stream_rng(1, STREAM_CROSS))
         on_tape = {fn.__qualname__.split(".")[0] for _, fn in tape.nodes}
     assert {"linear", "attend", "layer_norm", "softmax"} <= on_tape
-    assert recording - on_tape == {"bce_with_logits", "softmax_cross_entropy", "concat", "neg"}
+    assert recording - on_tape == {"bce_with_logits", "softmax_cross_entropy", "neg"}
 
 
-def test_desk_round_tape_budget():
-    """One round at the benchmark's desk-pretrain shape (five sensors, 32x32,
-    width 32, depth 4, MoE, base batch 8) records each feed-forward, expert
-    bank and attention as one node, about 480 nodes in all."""
+@pytest.fixture(scope="module")
+def desk_round_tape():
+    """(node count, node kinds, encode calls) of one round at the benchmark's
+    desk-pretrain shape: five sensors, 32x32, width 32, depth 4, MoE, base
+    batch 8."""
     ds = gen_synthetic(desk_registry(), 32, 32, 32, seed=7)
     trainer = Trainer(ds, ModelConfig(), TrainConfig(base_batch=8, seed=7))
-    with T.fresh_tape() as tape:
-        trainer.loss(trainer.state.params, trainer.next_round())
-        kinds = {fn.__qualname__.split(".")[0] for _, fn in tape.nodes}
-    assert len(tape) <= 500
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return encode(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crossmim.model, "encode", counted)
+        with T.fresh_tape() as tape:
+            trainer.loss(trainer.state.params, trainer.next_round())
+            kinds = {fn.__qualname__.split(".")[0] for _, fn in tape.nodes}
+    return len(tape), kinds, calls
+
+
+def test_desk_round_tape_budget(desk_round_tape):
+    """Each feed-forward, expert bank and attention is one node, and the
+    trunk runs once for all five sensors: about 255 nodes in all."""
+    nodes, kinds, _ = desk_round_tape
+    assert nodes <= 268
     assert {"ffn", "moe_ffn", "attend"} <= kinds
     assert not kinds & {"gelu", "put_rows"}
+
+
+def test_desk_round_encodes_every_sensor_in_one_call(desk_round_tape):
+    _, _, calls = desk_round_tape
+    assert calls == [(40, ModelConfig().tokens, ModelConfig().width)]
+
+
+def test_readme_desk_round_node_count_is_measured(desk_round_tape):
+    """The README's Performance paragraph quotes the node count of this round."""
+    readme = Path(__file__).resolve().parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    performance = readme.split("## Performance", 1)[1].split("\n## ", 1)[0]
+    quoted = re.search(r"records\s+(\d+)\s+nodes", performance)
+    assert quoted, "README's Performance paragraph no longer quotes the desk-round node count"
+    assert int(quoted.group(1)) == desk_round_tape[0]
 
 
 def test_float32_desk_round_never_calls_scipy_erf(monkeypatch):

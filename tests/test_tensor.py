@@ -394,6 +394,26 @@ def test_batch_matches_single_sample_calls_bitwise_in_float32(name, rng):
         np.testing.assert_array_equal(got.reshape(want.shape), want)
 
 
+def test_attend_blocks_match_single_sample_calls_bitwise_in_float32(rng):
+    heads, n, d = 4, 128, 32
+    per_block = T._ATTEND_BLOCK // (heads * n * n * 4)
+    b = 2 * per_block + 1  # two full sample blocks and a partial third
+    q, k, v, g = (rng.normal(size=(b, n, d)).astype(np.float32) for _ in range(4))
+
+    def run(*arrays):
+        leaves = [T.Tensor(a, requires_grad=True) for a in arrays[:3]]
+        with T.fresh_tape():
+            out = T.attend(*leaves, heads)
+            T.backward(T.reduce_sum(out * T.constant(arrays[3], like=out)))
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    batched = run(q, k, v, g)
+    single = [run(*(a[i:i + 1] for a in (q, k, v, g))) for i in range(b)]
+    for j, got in enumerate(batched):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, np.concatenate([s[j] for s in single]))
+
+
 def test_attend_rejects_nan_scores(rng):
     q = rng.normal(size=(1, 4, 6))
     q[0, 2, 4] = np.nan  # one score row of head 1

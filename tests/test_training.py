@@ -16,8 +16,8 @@ from crossmim.render import write_ppm
 from crossmim.sensors import desk_registry, gen_synthetic, pair_registry, save_manifest
 from crossmim.training import (STREAM_CROSS, STREAM_DATA, STREAM_MASK,
                                STREAM_TASK, SensorSampler, TrainConfig, Trainer,
-                               adamw_step, load_pretrained, lr_at, make_schedule,
-                               owner_sensor, stream_rng)
+                               adamw_step, json_safe, load_pretrained, lr_at,
+                               make_schedule, owner_sensor, stream_rng)
 
 import oracles
 
@@ -341,6 +341,16 @@ def test_numeric_failure_dumps_diagnostics(tmp_path):
     dumped = json.load(open(diag["dump_path"]))
     assert dumped["diagnostics"]["stage"] == "feedforward"
     assert dumped["diagnostics"]["block"] == 0
+
+
+def test_json_safe_spells_non_finite_values_as_strict_json():
+    obj = {1: (np.float32(np.inf), -np.inf, float("nan"), np.float64(-np.inf)),
+           "scalars": [np.float32(1.5), np.float32(np.nan), np.int64(3), 0.25],
+           "array": np.array([1.0, -np.inf, np.inf, np.nan], dtype=np.float32)}
+    text = json.dumps(json_safe(obj), allow_nan=False)
+    assert json.loads(text) == {"1": ["inf", "-inf", "nan", "-inf"],
+                                "scalars": [1.5, "nan", 3, 0.25],
+                                "array": [1.0, "-inf", "inf", "nan"]}
 
 
 def test_step_checks_any_loss_is_finite(tmp_path):

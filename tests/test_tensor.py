@@ -260,6 +260,8 @@ def test_grad_reductions(rng):
 def test_grad_take_rows_repeats_accumulate(rng):
     a = rng.normal(size=(4, 3))
     check_op(lambda x: weighted(T.take_rows(x, [0, 2, 2, 1])), a)
+    check_op(lambda x: weighted(T.take_rows(x, [3, 0, -2])), a)  # no repeats
+    check_op(lambda x: weighted(T.take_rows(x, [1, -3])), a)  # -3 repeats row 1
     x = T.Tensor(np.ones((3, 2)), requires_grad=True)
     with T.fresh_tape():
         out = T.reduce_sum(T.take_rows(x, [1, 1, 1]))

@@ -26,7 +26,7 @@ def main():
     expect = 2.0 * (cdf + 1.5 * pdf) + 3.0
     print(f"y  = {y.item():.6f}")
     print(f"dy/dx analytic {x.grad.item():.6f}, closed form {expect:.6f}")
-    x.zero_grad()
+    x.grad = None
 
     print("\n== matrices and broadcasting ==")
     rng = np.random.default_rng(0)

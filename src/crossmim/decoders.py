@@ -86,14 +86,7 @@ def reconstruction_loss(pred, plans):
     batched = pred.ndim == 4
     plans = list(plans) if batched else [plans]
     target = np.stack([p.target_image for p in plans])
-    if tuple(pred.shape) != (target.shape if batched else target.shape[1:]):
-        raise ShapeError(f"prediction shape {tuple(pred.shape)} != target shape {target.shape}")
-    masks = np.stack([p.pixel_loss_mask for p in plans])[:, None].astype(pred.dtype)
-    counts = masks.sum(axis=(1, 2, 3)) * target.shape[1]
-    if not counts.all():
-        raise ShapeError("reconstruction loss mask selects no pixels")
+    masks = np.stack([p.pixel_loss_mask for p in plans])[:, None]
     if not batched:
-        target, masks, counts = target[0], masks[0], counts[0]
-    diff = T.abs_(pred - T.constant(target, like=pred))
-    axes = tuple(range(pred.ndim - 3, pred.ndim))
-    return T.reduce_sum(diff * T.constant(masks, like=pred), axis=axes) / T.constant(counts, like=pred)
+        target, masks = target[0], masks[0]
+    return T.masked_l1(pred, target, masks)

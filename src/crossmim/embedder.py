@@ -16,7 +16,7 @@ from .errors import ShapeError
 
 
 def embed(images, params, prefix, token_mask=None):
-    """Tokenize a (B, C, W, H) image batch: conv-patch + bias, mask-token
+    """Tokenize a (B, C, W, H) image batch: conv-patch with bias, mask-token
     substitution on masked positions, then positional embedding.
 
     Args:
@@ -34,7 +34,7 @@ def embed(images, params, prefix, token_mask=None):
     if images.ndim != 4 or images.shape[1] != kernel.shape[1]:
         raise ShapeError(f"{prefix}kernel expects a (B, {kernel.shape[1]}, W, H) image batch, "
                          f"got {tuple(images.shape)}")
-    tokens = T.conv_patch(images, kernel) + T.reshape(bias, (1, -1))
+    tokens = T.conv_patch(images, kernel, bias)
     n_tokens = tokens.shape[-2]
     pos_embed = params["shared.pos_embed"]
     if pos_embed.shape[0] != n_tokens:

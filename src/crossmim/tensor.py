@@ -1,12 +1,14 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 Every differentiable operation is a primitive with a hand-written gradient,
-including the fused layers, one tape node each: `linear`, `softmax`,
-`layer_norm`, the GELU feed-forward `ffn`, the gated expert bank `moe_ffn`,
-and multi-head attention `attend`.  The GELU is the exact h * Phi(h); Phi
-comes from scipy's erf in float64 and from a NumPy normal tail in float32.
-Their composite forms survive only as float64 oracles in the tests.  Patch
-reshapes and `l1_loss` are the only compositions here.
+including the fused layers and the loss, one tape node each: `linear`,
+`softmax`, `layer_norm`, the GELU feed-forward `ffn`, the gated expert bank
+`moe_ffn`, multi-head attention `attend` and the masked L1 `masked_l1`.
+The GELU is the exact h * Phi(h); Phi comes from scipy's erf in float64 and
+from a NumPy normal tail in float32.  Their composite forms survive only as
+float64 oracles in the tests.  Only the patch reshapes compose primitives:
+`conv_patch` is one `linear` over `patchify`'s rows, and `l1_loss` takes
+the whole array as one sample of `masked_l1`.
 Operations are recorded on a tape in execution order; ``backward`` walks
 the tape in exact reverse order, so recording order doubles as the
 topological order.  There is no other global state.
@@ -136,12 +138,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}{flag})"
@@ -153,26 +149,11 @@ class Tensor:
     def __radd__(self, other):
         return add(_wrap(other, self), self)
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other, self))
 
     def __rmul__(self, other):
         return mul(_wrap(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, _wrap(other, self))
@@ -263,25 +244,6 @@ def add(a, b):
     return _record(out, (a, b), back)
 
 
-def sub(a, b):
-    out = Tensor(a.data - b.data)
-
-    def back(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return _record(out, (a, b), back)
-
-
-def neg(a):
-    out = Tensor(-a.data)
-
-    def back(g):
-        _accumulate(a, -g)
-
-    return _record(out, (a,), back)
-
-
 def mul(a, b):
     out = Tensor(a.data * b.data)
 
@@ -290,25 +252,6 @@ def mul(a, b):
         _accumulate(b, g * a.data)
 
     return _record(out, (a, b), back)
-
-
-def div(a, b):
-    out = Tensor(a.data / b.data)
-
-    def back(g):
-        _accumulate(a, g / b.data)
-        _accumulate(b, -g * a.data / (b.data * b.data))
-
-    return _record(out, (a, b), back)
-
-
-def abs_(a):
-    out = Tensor(np.abs(a.data))
-
-    def back(g):
-        _accumulate(a, g * np.sign(a.data))
-
-    return _record(out, (a,), back)
 
 
 def matmul(a, b):
@@ -651,12 +594,13 @@ def attend(q, k, v, heads):
 # ---------------------------------------------------------------------------
 # patches and losses
 
-def conv_patch(x, kernel):
+def conv_patch(x, kernel, bias):
     """Non-overlapping patch convolution: (..., C, W, H) -> (..., L, D) tokens.
 
     The stride equals the kernel's spatial size P, so each token is the
-    flattened (C,P,P) patch dotted with each of the D filters.  Token order
-    is row-major over the (W/P, H/P) patch grid.
+    flattened (C,P,P) patch dotted with each of the D filters, plus the
+    filter's bias: one `linear` over `patchify`'s rows.  Token order is
+    row-major over the (W/P, H/P) patch grid.
     """
     if x.ndim < 3 or kernel.ndim != 4:
         raise ShapeError(f"conv_patch expects (..., C,W,H) and (D,C,P,P), got {tuple(x.shape)} and {tuple(kernel.shape)}")
@@ -668,7 +612,7 @@ def conv_patch(x, kernel):
         raise ShapeError(f"conv_patch channel mismatch: image has {c}, kernel expects {kc}")
     if w % p != 0 or h % p != 0:
         raise ShapeError(f"image size not divisible by patch size: W={w}, H={h}, P={p}")
-    return matmul(patchify(x, p), transpose(reshape(kernel, (d, c * p * p))))
+    return linear(patchify(x, p), transpose(reshape(kernel, (d, c * p * p))), bias)
 
 
 def patchify(x, p):
@@ -692,19 +636,51 @@ def unpatchify(tokens, p, channels, w, h):
     return reshape(t, lead + (channels, w, h))
 
 
+def masked_l1(pred, target, mask):
+    """Per-sample masked mean absolute error of a (..., C, W, H) prediction.
+
+    `target` (pred's shape) and `mask` (0/1, broadcastable to pred, e.g. a
+    (..., 1, W, H) or (W, H) pixel mask) are arrays; the target gets no
+    gradient.  Returns the pred.shape[:-3] losses: each sample's sum of
+    |pred - target| over the selected elements, divided by how many it
+    selects after broadcasting, so a pixel mask's count times C.
+    """
+    if pred.ndim < 3:
+        raise ShapeError(f"masked_l1 expects a (..., C, W, H) prediction, got {tuple(pred.shape)}")
+    dtype = pred.data.dtype
+    target = np.asarray(target, dtype=dtype)
+    if target.shape != pred.shape:
+        raise ShapeError(f"prediction shape {tuple(pred.shape)} != target shape {target.shape}")
+    m = np.asarray(mask, dtype=dtype)
+    axes = (-3, -2, -1)
+    count = np.broadcast_to(m, pred.shape).sum(axis=axes)
+    if not np.all(count):
+        raise ShapeError("masked_l1 mask selects no pixels")
+    diff = pred.data - target
+    err = np.abs(diff)
+    err *= m
+    out = Tensor(err.sum(axis=axes) / count)
+
+    def back(g):
+        gp = np.sign(diff)
+        gp *= np.expand_dims(g / count, axes) * m
+        _accumulate(pred, gp)
+
+    return _record(out, (pred,), back)
+
+
 def l1_loss(pred, target, mask):
-    """Mean absolute error over positions selected by `mask`.
+    """Mean absolute error over positions selected by `mask`: `masked_l1`
+    over the whole (..., W, H) array taken as one (-1, W, H) sample.
 
     `mask` is a 0/1 array broadcastable to `pred`; the denominator counts
     every selected element after broadcasting, so a (W,H) mask against a
     (C,W,H) prediction averages over channels as well.
     """
-    m = (mask.data if isinstance(mask, Tensor) else np.asarray(mask)).astype(pred.data.dtype)
-    total = float(np.broadcast_to(m, pred.data.shape).sum())
-    if total == 0:
-        raise ShapeError("l1_loss mask selects no positions")
-    diff = abs_(sub(pred, _wrap(target, pred)))
-    return div(reduce_sum(mul(diff, constant(m, like=pred))), constant(total, like=pred))
+    sample = (-1,) + pred.shape[-2:]
+    target = _wrap(target, pred).data.reshape(sample)
+    mask = np.broadcast_to(np.asarray(mask), pred.shape).reshape(sample)
+    return masked_l1(reshape(pred, sample), target, mask)
 
 
 def bce_with_logits(logits, targets):

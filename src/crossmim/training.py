@@ -349,6 +349,14 @@ class Trainer:
                 raise CompatibilityError(f"checkpoint sampler refers to unknown sensor {sid}")
             self.samplers[sid].cycle = int(named["sampler.cycle"][i])
             self.samplers[sid].pos = int(named["sampler.pos"][i])
+        # the log keeps the steps before the checkpoint, so each step the
+        # resumed run takes is logged once; a torn last line is dropped
+        if self.log_path is not None and os.path.exists(self.log_path):
+            self.close()
+            with open(self.log_path, encoding="utf-8") as f:
+                kept = [line for line in f
+                        if line.endswith("\n") and json.loads(line)["step"] < self.state.step]
+            ckpt.write_atomic(self.log_path, "".join(kept))
 
 
 def check_compatible(named, registry, model_cfg, params):

@@ -360,8 +360,8 @@ def moe_dispatch_naive(x, gate_w, experts, capacity_factor):
 # ---------------------------------------------------------------------------
 # small forward-pass oracles
 
-def conv_patch_naive(image, kernel):
-    """Per-patch, per-filter dot-product loops."""
+def conv_patch_naive(image, kernel, bias):
+    """Per-patch, per-filter dot-product loops, plus each filter's bias."""
     c, w, h = image.shape
     d, _, p, _ = kernel.shape
     wb, hb = w // p, h // p
@@ -373,7 +373,7 @@ def conv_patch_naive(image, kernel):
                 out[bi * hb + bj, f] = float(
                     (np.asarray(patch, dtype=np.float64) *
                      np.asarray(kernel[f], dtype=np.float64)).sum()
-                )
+                ) + float(bias[f])
     return out
 
 
@@ -389,6 +389,23 @@ def masked_l1_naive(pred, target, mask):
                     total += abs(float(pred[ch, i, j]) - float(target[ch, i, j]))
                     count += 1
     return total / count
+
+
+def masked_l1_composite(pred, target, masks, g):
+    """NumPy replica of the masked L1 as five tape nodes (sub, abs_, mul by
+    the mask, reduce_sum over (C, W, H), div by the count) for a
+    (..., C, W, H) `pred` and (..., 1, W, H) 0/1 `masks`, in their dtype.
+
+    Returns the per-sample losses and pred's gradient for the upstream
+    gradient `g`, each node's arithmetic in its own order.
+    """
+    axes = (-3, -2, -1)
+    m = masks.astype(pred.dtype)
+    counts = m.sum(axis=axes) * pred.shape[-3]
+    diff = pred - target
+    loss = (np.abs(diff) * m).sum(axis=axes) / counts
+    grad = np.broadcast_to(np.expand_dims(g / counts, axes), pred.shape) * m
+    return loss, grad * np.sign(diff)
 
 
 def adamw_naive(w, grads, lr, beta1, beta2, eps, weight_decay, decay_applies):

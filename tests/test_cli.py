@@ -106,6 +106,18 @@ def test_pretrain_resume_flag(ws, tmp_path, capsys):
     assert "resumed at step 2" in capsys.readouterr().out
 
 
+def test_resumed_log_equals_uninterrupted_log(ws, tmp_path):
+    solo, split = tmp_path / "solo", tmp_path / "split"
+    args = ["pretrain", "--config", ws["cfg"], "--data", ws["data"], "--set", "train.epochs=3"]
+    assert main(args + ["--out", str(solo)]) == 0
+    assert main(args + ["--out", str(split)]) == 0
+    assert main(args + ["--out", str(split),
+                        "--resume", str(split / "checkpoint-epoch1.msgm")]) == 0
+    logged = (split / "metrics.jsonl").read_text()
+    assert [json.loads(line)["step"] for line in logged.splitlines()] == [0, 1, 2]
+    assert logged == (solo / "metrics.jsonl").read_text()
+
+
 def test_evaluate_outputs(ws, tmp_path):
     out = tmp_path / "eval"
     code = main(["evaluate", "--config", ws["cfg"], "--data", ws["data"],

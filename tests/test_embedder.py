@@ -31,8 +31,8 @@ def test_embed_matches_naive_convolution(rng):
     out = embed(T.Tensor(images, dtype=np.float64), params, "embedder.0.")
     assert out.shape == (2, 4, 8)
     for b in range(2):
-        expect = (oracles.conv_patch_naive(images[b], params["embedder.0.kernel"].data)
-                  + params["embedder.0.bias"].data[None, :]
+        expect = (oracles.conv_patch_naive(images[b], params["embedder.0.kernel"].data,
+                                           params["embedder.0.bias"].data)
                   + params["shared.pos_embed"].data)
         np.testing.assert_allclose(out.data[b], expect, rtol=1e-10)
 
@@ -97,8 +97,7 @@ def test_stacked_embedder_reproduces_sum_of_responses(rng):
     img1 = rng.normal(size=(3, 8, 8))
 
     def response(image, k, b):
-        return T.conv_patch(T.Tensor(image, dtype=np.float64), T.Tensor(k)) \
-            + T.reshape(T.Tensor(b), (1, -1))
+        return T.conv_patch(T.Tensor(image, dtype=np.float64), T.Tensor(k), T.Tensor(b))
 
     out = response(np.concatenate([img0, img1], axis=0), kernel, bias)
     t0 = response(img0, params["embedder.0.kernel"].data, params["embedder.0.bias"].data)

@@ -19,6 +19,7 @@ from crossmim.model import init_params, param_rng, reconstruct_sample, round_los
 from crossmim.sensors import (MultisensorBatch, desk_registry, gen_synthetic,
                               pair_registry)
 from crossmim.training import STREAM_CROSS, STREAM_MASK, TrainConfig, Trainer, stream_rng
+from crossmim.transfer import HEADS, TransferConfig, init_transfer_params, make_task, task_loss
 
 import oracles
 
@@ -251,23 +252,35 @@ def test_float32_round_tape_holds_no_float64_array():
 
 def test_criterion_1_loss_records_every_model_primitive():
     """Acceptance criterion 1 finite-difference checks the pretraining loss
-    of this configuration, so it covers every primitive on its tape.  The
-    primitives it leaves out serve only the transfer heads or operator
-    sugar, and each has its own check in test_tensor.py."""
+    of this configuration, so it covers every primitive on its tape.  That
+    tape and one fine-tuning step of each transfer head together record
+    every primitive the tensor module defines, so none is dead code; the
+    heads' losses each have their own check in test_tensor.py."""
     recording = {name for name, fn in vars(T).items()
                  if inspect.isfunction(fn) and fn.__module__ == T.__name__
                  and "_record" in fn.__code__.co_names}
+
+    def kinds(tape):
+        return {fn.__qualname__.split(".")[0] for _, fn in tape.nodes}
+
     ds = gen_synthetic(REG, 4, 16, 16, seed=11)
     mcfg = ModelConfig(width=8, depth=2, heads=2, patch_size=4, image_w=16, image_h=16,
                        mask_unit=8, moe=True, num_experts=2, ffn_mult=2)
     batch = MultisensorBatch(per_sensor={0: ds.by_sensor[0][:2], 1: ds.by_sensor[1][:2]},
                              round_index=0)
+    params = init_params(REG, mcfg, 3, dtype=np.float64)
     with T.fresh_tape() as tape:
-        round_loss(init_params(REG, mcfg, 3, dtype=np.float64), mcfg, ds, batch,
-                   stream_rng(1, STREAM_MASK), stream_rng(1, STREAM_CROSS))
-        on_tape = {fn.__qualname__.split(".")[0] for _, fn in tape.nodes}
+        round_loss(params, mcfg, ds, batch, stream_rng(1, STREAM_MASK), stream_rng(1, STREAM_CROSS))
+        on_tape = kinds(tape)
     assert {"linear", "attend", "layer_norm", "softmax"} <= on_tape
-    assert recording - on_tape == {"bce_with_logits", "softmax_cross_entropy", "neg"}
+    tuning = set()
+    for head in HEADS:
+        tcfg = TransferConfig(head=head, num_classes=2)
+        tuned = init_transfer_params(params, REG, mcfg, tcfg, (0,), seed=3)
+        with T.fresh_tape() as tape:
+            task_loss(tuned, mcfg, tcfg, (0,), make_task(ds, tcfg, (0,))[:2])
+            tuning |= kinds(tape)
+    assert recording == on_tape | tuning
 
 
 @pytest.fixture(scope="module")
@@ -293,9 +306,9 @@ def desk_round_tape():
 
 def test_desk_round_tape_budget(desk_round_tape):
     """Each feed-forward, expert bank and attention is one node, and the
-    trunk runs once for all five sensors: about 255 nodes in all."""
+    trunk runs once for all five sensors: about 209 nodes in all."""
     nodes, kinds, _ = desk_round_tape
-    assert nodes <= 268
+    assert nodes <= 219
     assert {"ffn", "moe_ffn", "attend"} <= kinds
     assert not kinds & {"gelu", "put_rows"}
 

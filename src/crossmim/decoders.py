@@ -49,7 +49,9 @@ def decode(features, params, sensor_id, cfg):
 
 
 def choose_targets(records, dataset, mask_plans, p_cross, rng):
-    """Build a ReconstructionPlan per record.
+    """Build a ReconstructionPlan per record; `mask_plans` holds each
+    record's mask plan, aligned with `records`, so two copies of one record
+    keep their own masks.
 
     Paired samples flip an independent Bernoulli(p_cross) coin (one draw per
     paired record, in record order); unpaired samples never consume a draw
@@ -58,7 +60,7 @@ def choose_targets(records, dataset, mask_plans, p_cross, rng):
     if not 0.0 <= p_cross <= 1.0:
         raise ShapeError(f"p_cross must be in [0, 1], got {p_cross}")
     plans = []
-    for r in records:
+    for r, mask_plan in zip(records, mask_plans, strict=True):
         cross = r.partner_sample_id is not None and rng.random() < p_cross
         if cross:
             partner = dataset.records[r.partner_sample_id]
@@ -70,7 +72,7 @@ def choose_targets(records, dataset, mask_plans, p_cross, rng):
             source_sensor=r.sensor_id,
             target_sensor=target_sensor,
             target_image=target_image,
-            pixel_loss_mask=to_pixel_mask(mask_plans[r.sample_id]),
+            pixel_loss_mask=to_pixel_mask(mask_plan),
         ))
     return plans
 

@@ -118,61 +118,54 @@ def round_loss(params, cfg, dataset, batch, mask_rng, cross_rng, p_cross=None):
     Sensors are visited in id order.  Per sensor, one mask plan is drawn per
     sample, then targets are chosen, and the sensor's batch is embedded.
     The token batches are stacked in sensor order and run through the trunk
-    once; each sensor's rows are decoded in one group per target sensor,
-    and its per-sample masked L1 losses and balance losses are averaged.
-    Returns the combined scalar
+    once.  The rows of each target sensor are decoded as one group, and the
+    loss is one weighted sum over the samples, each weighted by 1/n for a
+    sensor of n samples:
 
         sum_sensors ( mean L1 + aux_weight * mean balance )
 
-    plus per-sensor stats and the routing reports of the round, one per
-    (sample, MoE block) in record order.
+    Returns it plus per-sensor stats and the routing reports of the round,
+    one per (sample, MoE block) in record order.
     """
     if p_cross is None:
         p_cross = cfg.p_cross
-    sensors, token_batches = [], []  # (sensor id, targets) and tokens per sensor
+    targets, token_batches = [], []
     for sensor_id in sorted(batch.per_sensor):
         records = batch.per_sensor[sensor_id]
         if not records:
             continue
-        plans = {
-            r.sample_id: draw_mask(dataset.width, dataset.height, cfg.mask_unit,
-                                   cfg.mask_ratio, mask_rng)
-            for r in records
-        }
-        sensors.append((sensor_id, choose_targets(records, dataset, plans, p_cross, cross_rng)))
+        masks = [draw_mask(dataset.width, dataset.height, cfg.mask_unit, cfg.mask_ratio, mask_rng)
+                 for _ in records]
+        targets += choose_targets(records, dataset, masks, p_cross, cross_rng)
         images = np.stack([dataset.image(r.sample_id) for r in records])
-        token_masks = np.stack([to_token_mask(plans[r.sample_id], cfg.patch_size)
-                                for r in records])
+        token_masks = np.stack([to_token_mask(m, cfg.patch_size) for m in masks])
         token_batches.append(embed(T.constant(images), params, f"embedder.{sensor_id}.",
                                    token_masks))
-    if not sensors:
+    if not targets:
         raise NumericError("round contained no samples")
     tokens = token_batches[0] if len(token_batches) == 1 else T.concat(token_batches)
     feats, aux, reports = encode(tokens, cfg, params)
-    total = None
-    stats = {"sensors": {}, "cross_samples": 0, "self_samples": 0}
-    start = 0
-    for sensor_id, targets in sensors:
-        n = len(targets)
-        mim_sum = None
-        for target_sensor in sorted({t.target_sensor for t in targets}):
-            rows = [i for i, t in enumerate(targets) if t.target_sensor == target_sensor]
-            group = (feats if len(rows) == feats.shape[0]
-                     else T.take_rows(feats, [start + i for i in rows]))
-            pred = decode(group, params, target_sensor, cfg)
-            loss = T.reduce_sum(reconstruction_loss(pred, [targets[i] for i in rows]))
-            mim_sum = loss if mim_sum is None else mim_sum + loss
-        for t in targets:
-            stats["cross_samples" if t.is_cross else "self_samples"] += 1
-        sensor_mim = mim_sum * (1.0 / n)
-        own_aux = aux if n == aux.shape[0] else T.take_rows(aux, range(start, start + n))
-        sensor_aux = T.reduce_sum(own_aux) * (1.0 / n)
-        contribution = sensor_mim + cfg.aux_weight * sensor_aux
-        total = contribution if total is None else total + contribution
-        stats["sensors"][sensor_id] = {
-            "mim": float(sensor_mim.data),
-            "aux": float(sensor_aux.data),
-        }
-        start += n
-    stats["loss_total"] = float(total.data)
-    return total, stats, reports
+    order, losses = [], []  # sample rows stable-sorted by target sensor, L1 per group
+    for target_sensor in sorted({t.target_sensor for t in targets}):
+        rows = [i for i, t in enumerate(targets) if t.target_sensor == target_sensor]
+        group = feats if len(rows) == len(targets) else T.take_rows(feats, rows)
+        pred = decode(group, params, target_sensor, cfg)
+        losses.append(reconstruction_loss(pred, [targets[i] for i in rows]))
+        order += rows
+    l1 = losses[0] if len(losses) == 1 else T.concat(losses)
+    sources = np.array([t.source_sensor for t in targets])
+    sensor_ids, sensor_of, counts = np.unique(sources, return_inverse=True, return_counts=True)
+    weights = 1.0 / counts[sensor_of]
+    total = (T.reduce_sum(l1 * weights[order])
+             + cfg.aux_weight * T.reduce_sum(aux * weights))
+    per_sample = np.empty_like(l1.data)
+    per_sample[order] = l1.data
+    cross = sum(t.is_cross for t in targets)
+    return total, {
+        "sensors": {int(sid): {"mim": float(per_sample[sources == sid].mean()),
+                               "aux": float(aux.data[sources == sid].mean())}
+                    for sid in sensor_ids},
+        "cross_samples": cross,
+        "self_samples": len(targets) - cross,
+        "loss_total": float(total.data),
+    }, reports

@@ -240,16 +240,20 @@ class Trainer:
         self.steps_per_epoch = steps_per_epoch
         self.log_path = log_path
         self.dump_dir = dump_dir
+        self._log_mode = "w"  # a fresh run replaces an old log; a resumed one extends it
         self._log_file = None
 
     # -- logging -----------------------------------------------------------
     def _log(self, record):
+        """Write `record` to the log; None only opens the log."""
         if self.log_path is None:
             return
         if self._log_file is None:
-            self._log_file = open(self.log_path, "a", encoding="utf-8")
-        self._log_file.write(json.dumps(record, sort_keys=True) + "\n")
-        self._log_file.flush()
+            self._log_file = open(self.log_path, self._log_mode, encoding="utf-8")
+            self._log_mode = "a"
+        if record is not None:
+            self._log_file.write(json.dumps(record, sort_keys=True) + "\n")
+            self._log_file.flush()
 
     def close(self):
         if self._log_file is not None:
@@ -287,8 +291,7 @@ class Trainer:
         }
         state.history.append(metrics["loss_total"])
         state.step += 1
-        if state.step % self.cfg.log_every == 0:
-            self._log(metrics)
+        self._log(metrics if state.step % self.cfg.log_every == 0 else None)
         return metrics
 
     def train_epochs(self, epochs=None, checkpoint_dir=None):
@@ -351,6 +354,7 @@ class Trainer:
             self.samplers[sid].pos = int(named["sampler.pos"][i])
         # the log keeps the steps before the checkpoint, so each step the
         # resumed run takes is logged once; a torn last line is dropped
+        self._log_mode = "a"
         if self.log_path is not None and os.path.exists(self.log_path):
             self.close()
             with open(self.log_path, encoding="utf-8") as f:
@@ -391,15 +395,9 @@ def load_pretrained(path, registry, model_cfg, dtype=np.float32):
 
 
 def _routing_summary(reports):
-    if not reports:
-        return {"dropped": 0, "expert_tokens": []}
-    width = max(len(r.expert_counts) for r in reports)
-    totals = np.zeros(width, dtype=np.int64)
-    dropped = 0
-    for r in reports:
-        totals[: len(r.expert_counts)] += np.asarray(r.expert_counts, dtype=np.int64)
-        dropped += r.dropped
-    return {"dropped": int(dropped), "expert_tokens": [int(v) for v in totals]}
+    counts = np.array([r.expert_counts for r in reports], dtype=np.int64)
+    return {"dropped": sum(r.dropped for r in reports),
+            "expert_tokens": counts.sum(axis=0).tolist() if reports else []}
 
 
 def json_safe(obj):

@@ -444,14 +444,14 @@ def round_loss_per_sample(params, cfg, dataset, batch, mask_rng, cross_rng, p_cr
         records = batch.per_sensor[sensor_id]
         if not records:
             continue
-        plans = {r.sample_id: draw_mask(dataset.width, dataset.height, cfg.mask_unit,
-                                        cfg.mask_ratio, mask_rng) for r in records}
-        targets = choose_targets(records, dataset, plans, p_cross, cross_rng)
+        masks = [draw_mask(dataset.width, dataset.height, cfg.mask_unit, cfg.mask_ratio,
+                           mask_rng) for _ in records]
+        targets = choose_targets(records, dataset, masks, p_cross, cross_rng)
         mim_sum, aux_sum = None, None
-        for r, plan in zip(records, targets):
+        for r, mask, plan in zip(records, masks, targets):
             pred, aux, reports = reconstruct_sample(
                 params, cfg, dataset.image(r.sample_id), sensor_id,
-                to_token_mask(plans[r.sample_id], cfg.patch_size), plan.target_sensor)
+                to_token_mask(mask, cfg.patch_size), plan.target_sensor)
             loss = reconstruction_loss(pred, plan)
             mim_sum = loss if mim_sum is None else mim_sum + loss
             aux_sum = aux if aux_sum is None else aux_sum + aux

@@ -118,6 +118,27 @@ def test_resumed_log_equals_uninterrupted_log(ws, tmp_path):
     assert logged == (solo / "metrics.jsonl").read_text()
 
 
+def test_pretrain_rerun_replaces_log(ws, tmp_path):
+    args = ["pretrain", "--config", ws["cfg"], "--data", ws["data"], "--out", str(tmp_path)]
+    assert main(args) == 0
+    first = (tmp_path / "metrics.jsonl").read_text()
+    assert main(args) == 0
+    logged = (tmp_path / "metrics.jsonl").read_text()
+    assert [json.loads(line)["step"] for line in logged.splitlines()] == [0, 1]
+    assert logged == first
+    assert main(args + ["--set", "train.log_every=5"]) == 0  # logs none of its 2 steps
+    assert (tmp_path / "metrics.jsonl").read_text() == ""
+
+
+def test_finetune_rerun_replaces_log(ws, tmp_path):
+    args = ["finetune", "--config", ws["cfg"], "--data", ws["data"], "--checkpoint", ws["pre"],
+            "--out", str(tmp_path), "--set", "transfer.steps=3"]
+    assert main(args) == 0
+    assert main(args) == 0
+    logged = (tmp_path / "finetune-log.jsonl").read_text()
+    assert [json.loads(line)["step"] for line in logged.splitlines()] == [0, 1, 2]
+
+
 def test_evaluate_outputs(ws, tmp_path):
     out = tmp_path / "eval"
     code = main(["evaluate", "--config", ws["cfg"], "--data", ws["data"],

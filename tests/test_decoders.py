@@ -59,39 +59,38 @@ def _plans_setup(seed=3):
     reg = pair_registry()
     ds = gen_synthetic(reg, 4, 16, 16, seed=seed)
     mask_rng = np.random.default_rng(1)
-    plans = {r.sample_id: draw_mask(16, 16, 8, 0.6, mask_rng) for r in ds.records}
-    return ds, plans
+    return ds, [draw_mask(16, 16, 8, 0.6, mask_rng) for _ in ds.records]
 
 
 def test_choose_targets_all_self_at_zero(rng):
     ds, masks = _plans_setup()
     plans = choose_targets(ds.records, ds, masks, 0.0, rng)
     assert all(not p.is_cross for p in plans)
-    for p, r in zip(plans, ds.records):
+    for p, r, mask in zip(plans, ds.records, masks):
         assert p.sample_id == r.sample_id
         assert p.target_sensor == r.sensor_id
         np.testing.assert_array_equal(p.target_image, ds.image(r.sample_id))
         np.testing.assert_array_equal(p.pixel_loss_mask,
-                                      to_pixel_mask(masks[r.sample_id]))
+                                      to_pixel_mask(mask))
 
 
 def test_choose_targets_all_cross_at_one(rng):
     ds, masks = _plans_setup()
     plans = choose_targets(ds.records, ds, masks, 1.0, rng)
     assert all(p.is_cross for p in plans)
-    for p, r in zip(plans, ds.records):
+    for p, r, mask in zip(plans, ds.records, masks):
         partner = ds.partner_record(r)
         assert p.target_sensor == partner.sensor_id
         np.testing.assert_array_equal(p.target_image, ds.image(partner.sample_id))
         # loss footprint stays on the SOURCE's mask either way
         np.testing.assert_array_equal(p.pixel_loss_mask,
-                                      to_pixel_mask(masks[r.sample_id]))
+                                      to_pixel_mask(mask))
 
 
 def test_choose_targets_unpaired_never_consume_a_draw():
     ds = gen_synthetic(single_registry(), 5, 16, 16, seed=2)
     mask_rng = np.random.default_rng(1)
-    masks = {r.sample_id: draw_mask(16, 16, 8, 0.6, mask_rng) for r in ds.records}
+    masks = [draw_mask(16, 16, 8, 0.6, mask_rng) for _ in ds.records]
     rng = np.random.default_rng(9)
     before = rng.bit_generator.state
     plans = choose_targets(ds.records, ds, masks, 0.9, rng)

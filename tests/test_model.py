@@ -174,6 +174,28 @@ def test_round_loss_self_terms_match_direct_reconstruction():
             np.mean(per_sample), rel=1e-5)
 
 
+def test_repeated_record_is_masked_by_each_of_its_plans():
+    # a sensor whose sample count is not a multiple of its batch can hold
+    # one record twice in a round; each copy draws and keeps its own plan
+    params = init_params(REG, MCFG, seed=1, dtype=np.float64)
+    ds = gen_synthetic(REG, 2, 16, 16, seed=3)
+    r = ds.by_sensor[0][0]
+    batch = MultisensorBatch(per_sensor={0: [r, r]}, round_index=0)
+    _, stats, _ = round_loss(params, MCFG, ds, batch, stream_rng(4, STREAM_MASK),
+                             stream_rng(4, STREAM_CROSS), p_cross=0.0)
+    replay = stream_rng(4, STREAM_MASK)
+    plans = [draw_mask(16, 16, 8, 0.6, replay) for _ in range(2)]
+    assert not np.array_equal(plans[0].grid, plans[1].grid)
+    per_copy = []
+    for plan in plans:
+        with T.no_grad():
+            pred, _, _ = reconstruct_sample(params, MCFG, ds.image(r.sample_id), 0,
+                                            to_token_mask(plan, 4), 0)
+        per_copy.append(np.abs(pred.data - ds.image(r.sample_id))[:, to_pixel_mask(plan)].mean())
+    assert per_copy[0] != pytest.approx(per_copy[1], rel=1e-6)
+    assert stats["sensors"][0]["mim"] == pytest.approx(np.mean(per_copy), rel=1e-12)
+
+
 def test_round_loss_rejects_empty_round():
     params = init_params(REG, MCFG, seed=1)
     ds = gen_synthetic(REG, 2, 16, 16, seed=3)
@@ -213,6 +235,12 @@ def test_batched_round_matches_per_sample_oracle_in_float64(moe):
 
     (total, stats, reports, grads, states), (w_total, w_stats, w_reports, w_grads, w_states) = got, want
     assert float(total.data) == pytest.approx(float(w_total.data), rel=1e-10, abs=0.0)
+    assert stats["loss_total"] == pytest.approx(w_stats["loss_total"], rel=1e-10, abs=0.0)
+    assert stats["sensors"].keys() == w_stats["sensors"].keys()
+    for sid, want_sensor in w_stats["sensors"].items():
+        for key in ("mim", "aux"):
+            assert stats["sensors"][sid][key] == pytest.approx(want_sensor[key], rel=1e-10,
+                                                               abs=0.0), (sid, key)
     assert stats["cross_samples"] == w_stats["cross_samples"] > 0
     assert stats["self_samples"] == w_stats["self_samples"] > 0
     scale = max(float(np.abs(g).max()) for g in w_grads.values() if g is not None)
@@ -285,37 +313,49 @@ def test_criterion_1_loss_records_every_model_primitive():
 
 @pytest.fixture(scope="module")
 def desk_round_tape():
-    """(node count, node kinds, encode calls) of one round at the benchmark's
-    desk-pretrain shape: five sensors, 32x32, width 32, depth 4, MoE, base
-    batch 8."""
+    """(node count, node kinds, encode calls, decode calls) of one round at
+    the benchmark's desk-pretrain shape: five sensors, 32x32, width 32,
+    depth 4, MoE, base batch 8.  An encode call is logged by its token
+    shape, a decode call by its target sensor."""
     ds = gen_synthetic(desk_registry(), 32, 32, 32, seed=7)
     trainer = Trainer(ds, ModelConfig(), TrainConfig(base_batch=8, seed=7))
-    calls = []
+    encoded, decoded = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+    def counted_encode(*args, **kwargs):
+        encoded.append(args[0].shape)
         return encode(*args, **kwargs)
 
+    def counted_decode(*args, **kwargs):
+        decoded.append(args[2])
+        return decode(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(crossmim.model, "encode", counted)
+        mp.setattr(crossmim.model, "encode", counted_encode)
+        mp.setattr(crossmim.model, "decode", counted_decode)
         with T.fresh_tape() as tape:
             trainer.loss(trainer.state.params, trainer.next_round())
             kinds = {fn.__qualname__.split(".")[0] for _, fn in tape.nodes}
-    return len(tape), kinds, calls
+    return len(tape), kinds, encoded, decoded
 
 
 def test_desk_round_tape_budget(desk_round_tape):
-    """Each feed-forward, expert bank and attention is one node, and the
-    trunk runs once for all five sensors: about 209 nodes in all."""
-    nodes, kinds, _ = desk_round_tape
-    assert nodes <= 219
+    """Each feed-forward, expert bank and attention is one node, the trunk
+    runs once for all five sensors, and the loss is one weighted sum: about
+    141 nodes in all."""
+    nodes, kinds, _, _ = desk_round_tape
+    assert nodes <= 148
     assert {"ffn", "moe_ffn", "attend"} <= kinds
     assert not kinds & {"gelu", "put_rows"}
 
 
 def test_desk_round_encodes_every_sensor_in_one_call(desk_round_tape):
-    _, _, calls = desk_round_tape
-    assert calls == [(40, ModelConfig().tokens, ModelConfig().width)]
+    _, _, encoded, _ = desk_round_tape
+    assert encoded == [(40, ModelConfig().tokens, ModelConfig().width)]
+
+
+def test_desk_round_decodes_each_target_sensor_once(desk_round_tape):
+    _, _, _, decoded = desk_round_tape
+    assert decoded == [0, 1, 2, 3, 4]
 
 
 def test_readme_desk_round_node_count_is_measured(desk_round_tape):

@@ -9,6 +9,7 @@ import pytest
 
 import crossmim.checkpoint as ckpt
 import crossmim.tensor as T
+import crossmim.training as training
 from crossmim.config import ModelConfig
 from crossmim.errors import (CheckpointError, CompatibilityError, ConfigError,
                              NumericError)
@@ -224,6 +225,25 @@ def test_trainer_is_deterministic():
     for k in a.state.params:
         np.testing.assert_array_equal(a.state.params[k].data,
                                       b.state.params[k].data)
+
+
+def test_step_routing_sums_every_moe_report(monkeypatch):
+    reports, round_loss = [], training.round_loss
+
+    def kept(*args, **kwargs):
+        out = round_loss(*args, **kwargs)
+        reports.extend(out[2])
+        return out
+
+    monkeypatch.setattr(training, "round_loss", kept)
+    rec = make_trainer().train_step()
+    assert rec["routing"] == {
+        "dropped": sum(r.dropped for r in reports),
+        "expert_tokens": [sum(r.expert_counts[e] for r in reports)
+                          for e in range(MCFG.num_experts)]}
+    tr = Trainer(gen_synthetic(pair_registry(), 4, 16, 16, seed=7),
+                 replace(MCFG, moe=False), TCFG)
+    assert tr.train_step()["routing"] == {"dropped": 0, "expert_tokens": []}
 
 
 def test_trainer_writes_jsonl_log(tmp_path):

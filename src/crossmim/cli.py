@@ -70,6 +70,23 @@ def _checkpoint_path(arg):
     return os.path.join(arg, "checkpoint-final.msgm") if os.path.isdir(arg) else arg
 
 
+def _read_data(run, data_arg, checkpoint=None):
+    """(dataset, model config, pretrained parameters or None): the dataset at
+    `data_arg`, the run's model config, which must match the dataset's image
+    size, and the checkpoint at `checkpoint` when one is given."""
+    dataset = load_manifest(_manifest_path(data_arg))
+    mcfg = run.model_config()
+    if (dataset.width, dataset.height) != (mcfg.image_w, mcfg.image_h):
+        raise ConfigError(
+            f"dataset images are {dataset.width}x{dataset.height}, but data.width x "
+            f"data.height is {mcfg.image_w}x{mcfg.image_h}"
+        )
+    params = None
+    if checkpoint:
+        params = load_pretrained(_checkpoint_path(checkpoint), dataset.registry, mcfg)
+    return dataset, mcfg, params
+
+
 def _fmt_cell(v):
     if v is None:
         return "-"
@@ -141,8 +158,8 @@ def cmd_gen_data(args, run):
 
 
 def cmd_pretrain(args, run):
-    dataset = load_manifest(_manifest_path(args.data))
-    trainer = Trainer(dataset, run.model_config(), run.build(TrainConfig),
+    dataset, mcfg, _ = _read_data(run, args.data)
+    trainer = Trainer(dataset, mcfg, run.build(TrainConfig),
                       log_path=os.path.join(args.out, "metrics.jsonl"),
                       dump_dir=args.out)
     if args.resume:
@@ -201,7 +218,7 @@ def cmd_ablate(args, run):
             cells[name] = (moe, cross, run.with_overrides({"model.moe": moe,
                                                            "train.p_cross": cross}).model_config())
 
-    dataset = load_manifest(_manifest_path(args.data)) if args.data else _gen_dataset(run, args.out)
+    dataset = _read_data(run, args.data)[0] if args.data else _gen_dataset(run, args.out)
 
     rows = []
     results = []
@@ -245,15 +262,10 @@ def _task_sensor_ids(run, dataset):
 
 
 def cmd_finetune(args, run):
-    dataset = load_manifest(_manifest_path(args.data))
-    mcfg = run.model_config()
+    dataset, mcfg, pretrained = _read_data(run, args.data, args.checkpoint)
     tcfg = run.build(TransferConfig)
     task_sensors = _task_sensor_ids(run, dataset)
     samples = make_task(dataset, tcfg, task_sensors)
-    pretrained = None
-    if args.checkpoint:
-        pretrained = load_pretrained(_checkpoint_path(args.checkpoint),
-                                     dataset.registry, mcfg)
     params, losses = finetune(
         dataset.registry, mcfg, tcfg, task_sensors, samples, pretrained,
         steps=run["transfer.steps"], lr=run["transfer.lr"], batch_size=run["transfer.batch"],
@@ -277,9 +289,7 @@ def cmd_finetune(args, run):
 
 
 def cmd_evaluate(args, run):
-    dataset = load_manifest(_manifest_path(args.data))
-    mcfg = run.model_config()
-    params = load_pretrained(_checkpoint_path(args.checkpoint), dataset.registry, mcfg)
+    dataset, mcfg, params = _read_data(run, args.data, args.checkpoint)
     report, cross_l1 = _evaluate(params, mcfg, dataset, run)
     rows = []
     for sid, vals in sorted(report.items()):
@@ -298,9 +308,7 @@ def cmd_evaluate(args, run):
 
 
 def cmd_reconstruct(args, run):
-    dataset = load_manifest(_manifest_path(args.data))
-    mcfg = run.model_config()
-    params = load_pretrained(_checkpoint_path(args.checkpoint), dataset.registry, mcfg)
+    dataset, mcfg, params = _read_data(run, args.data, args.checkpoint)
     registry = dataset.registry
     sensor = registry.by_name(run["reconstruct.sensor"]) if run["reconstruct.sensor"] else registry[0]
     records = dataset.by_sensor[sensor.sensor_id][: run["reconstruct.samples"]]

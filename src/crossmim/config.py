@@ -127,6 +127,11 @@ class ModelConfig:
             raise ConfigError(
                 f"image {self.image_w}x{self.image_h} not divisible by mask unit {self.mask_unit}"
             )
+        if self.image_w == self.image_h == self.mask_unit:
+            raise ConfigError(
+                f"mask unit {self.mask_unit} covers the whole {self.image_w}x{self.image_h} "
+                "image; masking needs a grid of at least 2 units"
+            )
         if self.mask_unit % self.patch_size:
             raise ConfigError(
                 f"mask unit {self.mask_unit} not divisible by patch size {self.patch_size}"

@@ -17,7 +17,6 @@ Tensors default to float32; build parameters with ``dtype=np.float64`` when
 running gradient checks.
 """
 
-import ctypes
 import math
 from contextlib import contextmanager
 
@@ -46,33 +45,6 @@ class Tape:
 
 _ACTIVE = Tape()
 _GRAD_ENABLED = True
-_MALLOC_TUNED = False
-
-# glibc mallopt parameters
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _tune_malloc():
-    """Keep freed tape arrays in the process heap between steps.
-
-    By default glibc serves large arrays with mmap and returns them to the
-    kernel on free, so each step faults its whole tape in again.  Raising
-    the mmap threshold to glibc's maximum (32 MiB) and the trim threshold to
-    1 GiB lets the next step reuse the pages.  Raising the trim threshold
-    alone would freeze the mmap threshold at its 128 KiB default.  A no-op
-    where the C library has no mallopt.
-    """
-    global _MALLOC_TUNED
-    _MALLOC_TUNED = True
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def active_tape():
@@ -83,8 +55,6 @@ def active_tape():
 def fresh_tape():
     """Run a block on its own tape (used once per training step)."""
     global _ACTIVE
-    if not _MALLOC_TUNED:
-        _tune_malloc()
     saved = _ACTIVE
     _ACTIVE = Tape()
     try:

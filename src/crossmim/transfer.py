@@ -82,29 +82,28 @@ def init_transfer_params(pretrained, registry, model_cfg, tcfg, task_sensors, se
                          dtype=np.float32):
     """Build the fine-tuning parameter table.
 
-    Trunk tensors are copied from `pretrained` (or freshly initialized when
-    None, the from-scratch baseline) so the original table stays untouched;
-    channel_stack adds the fused embedder; the head is always freshly
-    initialized.
+    The positional table, the encoder and the task sensors' embedders are
+    copied from `pretrained` (or freshly initialized when None, the
+    from-scratch baseline) so the original table stays untouched;
+    channel_stack stacks the copied embedders into `transfer.embed.`; the
+    head is always freshly initialized.  Transfer never masks, so the mask
+    token is left out.
     """
     if pretrained is None:
         pretrained = init_params(registry, model_cfg, seed, dtype=dtype)
-    params = {}
-    wanted = ["shared.mask_token", "shared.pos_embed"]
-    wanted += [k for k in pretrained if k.startswith("encoder.")]
-    wanted += [f"embedder.{sid}.{leaf}" for sid in task_sensors for leaf in ("kernel", "bias")]
-    for k in wanted:
-        src = pretrained[k]
-        params[k] = T.Tensor(src.data.astype(dtype, copy=True),
-                             requires_grad=not tcfg.frozen_trunk)
 
+    def copy(arr):
+        return T.Tensor(arr.astype(dtype, copy=True), requires_grad=not tcfg.frozen_trunk)
+
+    trunk = ["shared.pos_embed"] + [k for k in pretrained if k.startswith("encoder.")]
+    params = {k: copy(pretrained[k].data) for k in trunk}
+    embedders = {k: copy(pretrained[k].data) for k in
+                 (f"embedder.{sid}.{leaf}" for sid in task_sensors for leaf in ("kernel", "bias"))}
     if tcfg.mode == "channel_stack":
-        for leaf, arr in zip(("kernel", "bias"), stacked_embedder(params, task_sensors)):
-            params[f"transfer.embed.{leaf}"] = T.Tensor(arr.astype(dtype, copy=True),
-                                                       requires_grad=not tcfg.frozen_trunk)
-        for sid in task_sensors:  # per-sensor embedders folded into the stack
-            del params[f"embedder.{sid}.kernel"]
-            del params[f"embedder.{sid}.bias"]
+        for leaf, arr in zip(("kernel", "bias"), stacked_embedder(embedders, task_sensors)):
+            params[f"transfer.embed.{leaf}"] = copy(arr)
+    else:
+        params.update(embedders)
 
     w_in = head_input_width(model_cfg, tcfg, len(task_sensors))
     w_out = head_output_width(model_cfg, tcfg)

@@ -343,6 +343,8 @@ def test_bad_optimizer_value_exits_2(ws, tmp_path, capsys, command, setting):
     ("evaluate", "eval.samples=-2"),
     ("reconstruct", "reconstruct.samples=0"),
     ("reconstruct", "reconstruct.samples=-1"),
+    ("pretrain", "model.mask_unit=16"),  # a 1x1 mask grid on 16x16 images
+    ("evaluate", "model.mask_unit=16"),
 ])
 def test_out_of_range_value_exits_2(ws, tmp_path, capsys, command, setting):
     args = [command, "--config", ws["cfg"], "--out", str(tmp_path / "x"), "--set", setting]
@@ -353,6 +355,25 @@ def test_out_of_range_value_exits_2(ws, tmp_path, capsys, command, setting):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "ablate", "finetune", "evaluate",
+                                     "reconstruct"])
+def test_dataset_size_mismatch_exits_2(ws, tmp_path, capsys, command):
+    data = tmp_path / "data32"
+    assert main(["gen-data", "--config", ws["cfg"], "--out", str(data),
+                 "--set", "data.width=32", "--set", "data.height=32",
+                 "--set", "data.n_per_sensor=1"]) == 0
+    args = [command, "--config", ws["cfg"], "--data", str(data), "--out", str(tmp_path / "x")]
+    if command == "ablate":
+        args += ["--grid", "moe=0"]
+    if command in ("finetune", "evaluate", "reconstruct"):
+        args += ["--checkpoint", ws["pre"]]  # matches the config, not the dataset
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert "32x32" in err and "16x16" in err
 
 
 def test_io_error_exit_codes(ws, tmp_path, capsys):

@@ -5,11 +5,13 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crossmim.config import (SCHEMA, ModelConfig, RunConfig, desk_config, load_config,
                              paper_config, parse_config_text)
-from crossmim.errors import ConfigError
+from crossmim.errors import ConfigError, ShapeError
+from crossmim.masking import draw_mask, to_token_mask
 from crossmim.training import TrainConfig, stream_rng
 from crossmim.transfer import TransferConfig
 
@@ -27,6 +29,25 @@ def test_model_config_validation():
         with pytest.raises(ConfigError, match="aux_weight"):
             ModelConfig(aux_weight=bad)
     assert ModelConfig(aux_weight=0.0).aux_weight == 0.0
+
+
+@pytest.mark.parametrize("w,h", [(8, 8), (8, 16), (16, 8), (16, 16), (12, 12)])
+def test_model_config_builds_exactly_the_maskable_geometries(w, h):
+    """A config that builds draws a mask and maps it to its tokens; a config
+    that is refused has a geometry the masking itself would refuse."""
+    rng = np.random.default_rng(0)
+    for patch in (1, 2, 4, 8):
+        for unit in (1, 2, 4, 8, 16):
+            try:
+                cfg = ModelConfig(image_w=w, image_h=h, patch_size=patch, mask_unit=unit)
+            except ConfigError:
+                with pytest.raises(ShapeError):
+                    to_token_mask(draw_mask(w, h, unit, 0.6, rng), patch)
+                continue
+            tokens = to_token_mask(draw_mask(w, h, cfg.mask_unit, cfg.mask_ratio, rng),
+                                   cfg.patch_size)
+            assert tokens.shape == (cfg.tokens,)
+            assert 0 < tokens.sum() < cfg.tokens
 
 
 def test_model_config_tokens_and_encoder_view():

@@ -15,7 +15,7 @@ import oracles
 from test_tensor import check_op, weighted
 
 # width 8, 4x4 patches over 8x8 images: 4 tokens per image
-CFG = ModelConfig(width=8, heads=2, patch_size=4, image_w=8, image_h=8, mask_unit=8)
+CFG = ModelConfig(width=8, heads=2, patch_size=4, image_w=8, image_h=8, mask_unit=4)
 
 
 def make_params(rng, sensor_id=0, width=8, channels=3, patch=4, dtype=np.float64):

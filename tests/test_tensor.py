@@ -595,10 +595,3 @@ def test_softmax_cross_entropy_matches_formula_and_grad(rng):
     np.testing.assert_allclose(float(out.data), expect, rtol=1e-9)
     check_op(lambda lg: T.softmax_cross_entropy(lg, labels), z)
 
-
-def test_malloc_tuning_is_a_no_op_without_mallopt(monkeypatch):
-    monkeypatch.setattr(T.ctypes, "CDLL", lambda _name: object())
-    monkeypatch.setattr(T, "_MALLOC_TUNED", False)
-    with T.fresh_tape():
-        pass
-    assert T._MALLOC_TUNED

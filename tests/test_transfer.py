@@ -68,7 +68,7 @@ def test_init_transfer_copies_trunk_and_adds_head():
     pre = pretrained_table()
     tcfg = TransferConfig()
     params = init_transfer_params(pre, REG, MCFG, tcfg, (0, 1), seed=9)
-    for k in ("shared.mask_token", "embedder.0.kernel", "embedder.1.bias",
+    for k in ("shared.pos_embed", "embedder.0.kernel", "embedder.1.bias",
               "encoder.block0.attn.wq"):
         np.testing.assert_array_equal(params[k].data, pre[k].data)
         assert params[k].requires_grad
@@ -76,6 +76,32 @@ def test_init_transfer_copies_trunk_and_adds_head():
     assert params["head.w"].shape == (32, 4)
     assert params["head.b"].shape == (4,)
     assert not any(k.startswith("decoder.") for k in params)
+
+
+@pytest.mark.parametrize("mode,embedders", [
+    ("shared_encoder_concat", ["embedder.0.kernel", "embedder.0.bias",
+                               "embedder.1.kernel", "embedder.1.bias"]),
+    ("channel_stack", ["transfer.embed.kernel", "transfer.embed.bias"]),
+])
+def test_init_transfer_key_set(mode, embedders):
+    """Transfer never masks, so the table carries no mask token and no
+    decoder: the positional table, the encoder, the embedders, the head."""
+    pre = pretrained_table()
+    params = init_transfer_params(pre, REG, MCFG, TransferConfig(mode=mode), (0, 1), seed=9)
+    encoder = [k for k in pre if k.startswith("encoder.")]
+    assert list(params) == ["shared.pos_embed", *encoder, *embedders, "head.w", "head.b"]
+
+
+def test_init_transfer_channel_stack_casts_before_stacking():
+    pre = init_params(REG, MCFG, 5, dtype=np.float64)
+    for sid in (0, 1):
+        pre[f"embedder.{sid}.bias"].data[:] = np.random.default_rng(sid).normal(size=16)
+    params = init_transfer_params(pre, REG, MCFG, TransferConfig(mode="channel_stack"),
+                                  (0, 1), seed=9)
+    expect = (pre["embedder.0.bias"].data.astype(np.float32)
+              + pre["embedder.1.bias"].data.astype(np.float32))
+    assert params["transfer.embed.bias"].data.dtype == np.float32
+    np.testing.assert_array_equal(params["transfer.embed.bias"].data, expect)
 
 
 def test_init_transfer_frozen_trunk_flags():

@@ -36,8 +36,9 @@ _CODE_FOR_KIND = {
 
 
 def save_tensors(path, named):
-    """Write an ordered {name: ndarray} mapping atomically; dtypes outside
-    the format are rejected rather than silently converted."""
+    """Write an ordered {name: ndarray} mapping atomically and return the
+    bytes written; dtypes outside the format are rejected rather than
+    silently converted."""
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", VERSION)
@@ -57,6 +58,7 @@ def save_tensors(path, named):
         out += np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes()
     out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
     write_atomic(path, out)
+    return out
 
 
 def write_atomic(path, data):

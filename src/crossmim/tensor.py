@@ -13,6 +13,12 @@ Operations are recorded on a tape in execution order; ``backward`` walks
 the tape in exact reverse order, so recording order doubles as the
 topological order.  There is no other global state.
 
+The tape never holds a `Tensor`.  Each tensor owns a small `GradRecord`
+(requires_grad, grad, shape, dtype); a node is (output record, backward
+closure), and each closure holds the records of its inputs plus exactly the
+arrays its gradient reads.  So an activation that no backward pass reads,
+such as a residual sum, is freed as soon as the forward code drops it.
+
 Tensors default to float32; build parameters with ``dtype=np.float64`` when
 running gradient checks.
 """
@@ -75,42 +81,84 @@ def no_grad():
         _GRAD_ENABLED = saved
 
 
-class Tensor:
-    """A dense row-major float array plus an optional gradient slot."""
+class GradRecord:
+    """What the backward pass needs of a tensor, without its array: whether
+    it takes a gradient, the gradient so far, and the shape and dtype that
+    gradient is summed to."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("requires_grad", "grad", "shape", "dtype")
+
+    def __init__(self, requires_grad, shape, dtype):
+        self.requires_grad = requires_grad
+        self.grad = None
+        self.shape = shape
+        self.dtype = dtype
+
+
+class Tensor:
+    """A dense row-major float array plus its gradient record `rec`.
+
+    `requires_grad` and `grad` read and write the record; assigning `data`
+    keeps the record's shape and dtype in step with the new array.
+    """
+
+    __slots__ = ("_data", "rec")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype, order="C")
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         # asarray keeps 0-d scalars 0-d; ascontiguousarray would pad to (1,)
-        self.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self._data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
+        self.rec = GradRecord(bool(requires_grad), arr.shape, arr.dtype)
+
+    @property
+    def data(self):
+        return self._data
+
+    @data.setter
+    def data(self, arr):
+        self._data = arr
+        self.rec.shape, self.rec.dtype = arr.shape, arr.dtype
+
+    @property
+    def requires_grad(self):
+        return self.rec.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag):
+        self.rec.requires_grad = bool(flag)
+
+    @property
+    def grad(self):
+        return self.rec.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.rec.grad = g
 
     @property
     def shape(self):
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self):
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def size(self):
-        return self.data.size
+        return self._data.size
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._data.dtype
 
     def item(self):
-        return float(self.data.reshape(()))
+        return float(self._data.reshape(()))
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}{flag})"
+        return f"Tensor(shape={tuple(self.shape)}, dtype={self._data.dtype.name}{flag})"
 
     # operator sugar; non-Tensor operands become constants
     def __add__(self, other):
@@ -164,19 +212,27 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _accumulate(t, g):
-    if not t.requires_grad:
+def _accumulate(r, g):
+    """Add gradient `g` into record `r`, summed down to r's shape."""
+    if not r.requires_grad:
         return
-    if g.shape != t.data.shape:
-        g = _unbroadcast(g, t.data.shape)
-    g = np.asarray(g, dtype=t.data.dtype)
-    t.grad = g if t.grad is None else t.grad + g
+    if g.shape != r.shape:
+        g = _unbroadcast(g, r.shape)
+    g = np.asarray(g, dtype=r.dtype)
+    r.grad = g if r.grad is None else r.grad + g
+
+
+def _recording(*inputs):
+    """Whether a node over the input records `inputs` goes on the tape."""
+    return _GRAD_ENABLED and any(r.requires_grad for r in inputs)
 
 
 def _record(out, inputs, backward_fn):
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        _ACTIVE.nodes.append((out, backward_fn))
+    """Put (out's record, backward_fn) on the tape when an input record in
+    `inputs` takes a gradient."""
+    if _recording(*inputs):
+        out.rec.requires_grad = True
+        _ACTIVE.nodes.append((out.rec, backward_fn))
     return out
 
 
@@ -193,11 +249,11 @@ def backward(loss):
     if not loss.requires_grad:
         raise ShapeError("loss is not connected to the tape (requires_grad is False)")
     loss.grad = np.ones_like(loss.data)
-    for out, fn in reversed(_ACTIVE.nodes):
-        g = out.grad
+    for rec, fn in reversed(_ACTIVE.nodes):
+        g = rec.grad
         if g is None:
             continue
-        out.grad = None
+        rec.grad = None
         fn(g)
 
 
@@ -206,22 +262,34 @@ def backward(loss):
 
 def add(a, b):
     out = Tensor(a.data + b.data)
+    ra, rb = a.rec, b.rec
 
     def back(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(ra, g)
+        _accumulate(rb, g)
 
-    return _record(out, (a, b), back)
+    return _record(out, (ra, rb), back)
+
+
+def _operands(a, b):
+    """(a's array, b's array) as a product's backward pass reads them: each
+    operand's gradient reads the other operand, so an operand is kept only
+    when the other takes a gradient."""
+    return (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
 
 
 def mul(a, b):
     out = Tensor(a.data * b.data)
+    ra, rb = a.rec, b.rec
+    ad, bd = _operands(a, b)
 
     def back(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        if bd is not None:
+            _accumulate(ra, g * bd)
+        if ad is not None:
+            _accumulate(rb, g * ad)
 
-    return _record(out, (a, b), back)
+    return _record(out, (ra, rb), back)
 
 
 def matmul(a, b):
@@ -231,12 +299,16 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {tuple(a.shape)} vs {tuple(b.shape)}")
     out = Tensor(np.matmul(a.data, b.data))
+    ra, rb = a.rec, b.rec
+    ad, bd = _operands(a, b)
 
     def back(g):
-        _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+        if bd is not None:
+            _accumulate(ra, np.matmul(g, np.swapaxes(bd, -1, -2)))
+        if ad is not None:
+            _accumulate(rb, np.matmul(np.swapaxes(ad, -1, -2), g))
 
-    return _record(out, (a, b), back)
+    return _record(out, (ra, rb), back)
 
 
 def reshape(a, shape):
@@ -245,48 +317,52 @@ def reshape(a, shape):
     if data.shape == a.data.shape:
         return a
     out = Tensor(data)
+    ra = a.rec
 
     def back(g):
-        _accumulate(a, g.reshape(a.data.shape))
+        _accumulate(ra, g.reshape(ra.shape))
 
-    return _record(out, (a,), back)
+    return _record(out, (ra,), back)
 
 
 def transpose(a, axes=None):
     used = tuple(range(a.ndim))[::-1] if axes is None else tuple(axes)
     out = Tensor(np.ascontiguousarray(a.data.transpose(used)))
     inverse = np.argsort(used)
+    ra = a.rec
 
     def back(g):
-        _accumulate(a, g.transpose(inverse))
+        _accumulate(ra, g.transpose(inverse))
 
-    return _record(out, (a,), back)
+    return _record(out, (ra,), back)
 
 
-def _spread(g, a, axis, keepdims):
+def _spread(g, shape, axis, keepdims):
     """Broadcast a reduction's gradient back over the axes it reduced."""
     if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, a.data.shape)
+    return np.broadcast_to(g, shape)
 
 
 def reduce_sum(a, axis=None, keepdims=False):
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    ra = a.rec
 
     def back(g):
-        _accumulate(a, _spread(g, a, axis, keepdims))
+        _accumulate(ra, _spread(g, ra.shape, axis, keepdims))
 
-    return _record(out, (a,), back)
+    return _record(out, (ra,), back)
 
 
 def reduce_mean(a, axis=None, keepdims=False):
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
     count = a.data.size // max(out.data.size, 1)
+    ra = a.rec
 
     def back(g):
-        _accumulate(a, _spread(g / count, a, axis, keepdims))
+        _accumulate(ra, _spread(g / count, ra.shape, axis, keepdims))
 
-    return _record(out, (a,), back)
+    return _record(out, (ra,), back)
 
 
 def take_rows(a, indices):
@@ -294,37 +370,39 @@ def take_rows(a, indices):
     rows of a repeated index."""
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(a.data[idx])
+    ra = a.rec
 
     def back(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(ra.shape, dtype=ra.dtype)
         if np.unique(idx % len(full)).size == idx.size:
             full[idx] = g
         else:
             np.add.at(full, idx, g)
-        _accumulate(a, full)
+        _accumulate(ra, full)
 
-    return _record(out, (a,), back)
+    return _record(out, (ra,), back)
 
 
 def concat(tensors, axis=0):
     tensors = list(tensors)
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1].tolist()
+    recs = tuple(t.rec for t in tensors)
 
     def back(g):
-        for t, part in zip(tensors, np.split(g, offsets, axis=axis)):
-            _accumulate(t, part)
+        for r, part in zip(recs, np.split(g, offsets, axis=axis)):
+            _accumulate(r, part)
 
-    return _record(out, tuple(tensors), back)
+    return _record(out, recs, back)
 
 
 # ---------------------------------------------------------------------------
 # fused layers: one tape node each
 
-def _accumulate_rows(t, g):
-    """Accumulate into a per-feature parameter: each sample sums its rows
-    first, then `_accumulate` adds the samples last to first."""
-    _accumulate(t, g.sum(axis=-2) if g.ndim > 1 else g)
+def _accumulate_rows(r, g):
+    """Accumulate into a per-feature parameter's record: each sample sums
+    its rows first, then `_accumulate` adds the samples last to first."""
+    _accumulate(r, g.sum(axis=-2) if g.ndim > 1 else g)
 
 
 def linear(x, w, b):
@@ -332,14 +410,16 @@ def linear(x, w, b):
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear needs (..., K), (K, N) and (N,) operands, got "
                          f"{tuple(x.shape)}, {tuple(w.shape)} and {tuple(b.shape)}")
-    out = Tensor(np.matmul(x.data, w.data) + b.data)
+    xd, wd = x.data, w.data
+    out = Tensor(np.matmul(xd, wd) + b.data)
+    rx, rw, rb = x.rec, w.rec, b.rec
 
     def back(g):
-        _accumulate(x, np.matmul(g, w.data.T))
-        _accumulate(w, np.matmul(np.swapaxes(x.data, -1, -2), g))
-        _accumulate_rows(b, g)
+        _accumulate(rx, np.matmul(g, wd.T))
+        _accumulate(rw, np.matmul(np.swapaxes(xd, -1, -2), g))
+        _accumulate_rows(rb, g)
 
-    return _record(out, (x, w, b), back)
+    return _record(out, (rx, rw, rb), back)
 
 
 def _softmax_rows(s, axis=-1):
@@ -355,13 +435,13 @@ def _softmax_rows(s, axis=-1):
 
 def softmax(a, axis=-1):
     """Row-stable softmax; rejects NaN input."""
-    out = Tensor(_softmax_rows(a.data.copy(), axis))
+    y = _softmax_rows(a.data.copy(), axis)
+    ra = a.rec
 
     def back(g):
-        y = out.data
-        _accumulate(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        _accumulate(ra, y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
-    return _record(out, (a,), back)
+    return _record(Tensor(y), (ra,), back)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -371,17 +451,19 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
     xhat = centered * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    gd = gamma.data
+    out = Tensor(xhat * gd + beta.data)
+    rx, rgamma, rbeta = x.rec, gamma.rec, beta.rec
 
     def back(g):
-        gx = g * gamma.data
+        gx = g * gd
         gx -= gx.mean(axis=-1, keepdims=True) + xhat * (gx * xhat).mean(axis=-1, keepdims=True)
         gx *= inv
-        _accumulate(x, gx)
-        _accumulate_rows(gamma, g * xhat)
-        _accumulate_rows(beta, g)
+        _accumulate(rx, gx)
+        _accumulate_rows(rgamma, g * xhat)
+        _accumulate_rows(rbeta, g)
 
-    return _record(out, (x, gamma, beta), back)
+    return _record(out, (rx, rgamma, rbeta), back)
 
 
 # Abramowitz & Stegun 7.1.26 for the upper normal tail, rewritten to take h
@@ -398,8 +480,9 @@ _GELU_BLOCK = 1 << 15
 _ATTEND_BLOCK = 1 << 19
 
 
-def _gelu(h):
-    """(gelu(h), gelu'(h)) = (h Phi(h), Phi(h) + h phi(h)), exact GELU.
+def _gelu(h, grad=True):
+    """(gelu(h), gelu'(h)) = (h Phi(h), Phi(h) + h phi(h)), exact GELU;
+    gelu'(h) is None unless `grad`.
 
     Float64 takes Phi from scipy's erf.  Float32 takes it from the A&S tail
     above, within 5e-7 (4.2 ulp of 1.0) of float64 for both values, and
@@ -408,12 +491,14 @@ def _gelu(h):
     """
     if h.dtype == np.float64:
         cdf = 0.5 * (1.0 + erf(h * (1.0 / math.sqrt(2.0))))
+        if not grad:
+            return h * cdf, None
         pdf = np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
         return h * cdf, cdf + h * pdf
-    dact = np.empty_like(h)
-    flat_h, flat_d = h.reshape(-1), dact.reshape(-1)
+    dact = np.empty_like(h) if grad else None
+    flat_h = h.reshape(-1)
     for start in range(0, flat_h.size, _GELU_BLOCK):
-        x, d = flat_h[start:start + _GELU_BLOCK], flat_d[start:start + _GELU_BLOCK]
+        x = flat_h[start:start + _GELU_BLOCK]
         e = x * x
         e *= -0.5
         np.exp(e, out=e)
@@ -430,32 +515,37 @@ def _gelu(h):
         # Phi(x) = [x >= 0] - copysign(q, x); signbit, not x >= 0, keeps
         # Phi(-0.0) at 1/2
         cdf = np.subtract(~np.signbit(x), q, out=q)
-        np.multiply(e, 1.0 / math.sqrt(2.0 * math.pi), out=d)
-        d *= x
-        d += cdf
+        if grad:
+            d = dact.reshape(-1)[start:start + _GELU_BLOCK]
+            np.multiply(e, 1.0 / math.sqrt(2.0 * math.pi), out=d)
+            d *= x
+            d += cdf
         x *= cdf
     return h, dact
 
 
-def _ffn_forward(x, w1, b1, w2, b2):
+def _ffn_forward(x, w1, b1, w2, b2, grad=True):
     """gelu(x @ w1 + b1) @ w2 + b2 on arrays, with the exact GELU of `_gelu`.
 
-    Returns the output, the GELU output and the GELU derivative; the
-    backward pass keeps only those two hidden-sized arrays.
+    Returns the output, the GELU output and the GELU derivative (None
+    unless `grad`); the backward pass keeps only those two hidden-sized
+    arrays.
     """
-    act, dact = _gelu(np.matmul(x, w1) + b1)
+    act, dact = _gelu(np.matmul(x, w1) + b1, grad)
     return np.matmul(act, w2) + b2, act, dact
 
 
-def _ffn_backward(g, x, act, dact, w1, b1, w2, b2):
-    """Accumulate the parameter gradients of `_ffn_forward`; return x's."""
-    _accumulate(w2, np.matmul(np.swapaxes(act, -1, -2), g))
-    _accumulate_rows(b2, g)
-    gh = np.matmul(g, w2.data.T)
+def _ffn_backward(g, x, act, dact, w1, w2, recs):
+    """Accumulate the parameter gradients of `_ffn_forward` into `recs`,
+    the records of (w1, b1, w2, b2); return x's."""
+    rw1, rb1, rw2, rb2 = recs
+    _accumulate(rw2, np.matmul(np.swapaxes(act, -1, -2), g))
+    _accumulate_rows(rb2, g)
+    gh = np.matmul(g, w2.T)
     gh *= dact
-    _accumulate(w1, np.matmul(np.swapaxes(x, -1, -2), gh))
-    _accumulate_rows(b1, gh)
-    return np.matmul(gh, w1.data.T)
+    _accumulate(rw1, np.matmul(np.swapaxes(x, -1, -2), gh))
+    _accumulate_rows(rb1, gh)
+    return np.matmul(gh, w1.T)
 
 
 def ffn(x, w1, b1, w2, b2):
@@ -463,14 +553,14 @@ def ffn(x, w1, b1, w2, b2):
     if x.ndim < 2 or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
         raise ShapeError(f"ffn needs (..., K), (K, H) and (H, N) operands, got "
                          f"{tuple(x.shape)}, {tuple(w1.shape)} and {tuple(w2.shape)}")
-    params = (w1, b1, w2, b2)
-    y, act, dact = _ffn_forward(x.data, *(p.data for p in params))
-    out = Tensor(y)
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    rx, recs = x.rec, (w1.rec, b1.rec, w2.rec, b2.rec)
+    y, act, dact = _ffn_forward(xd, w1d, b1.data, w2d, b2.data, _recording(rx, *recs))
 
     def back(g):
-        _accumulate(x, _ffn_backward(g, x.data, act, dact, *params))
+        _accumulate(rx, _ffn_backward(g, xd, act, dact, w1d, w2d, recs))
 
-    return _record(out, (x,) + params, back)
+    return _record(Tensor(y), (rx,) + recs, back)
 
 
 def moe_ffn(rows, probs, groups, experts):
@@ -482,27 +572,32 @@ def moe_ffn(rows, probs, groups, experts):
     in no group come out zero.  Each expert gathers its rows once and writes
     its gated rows straight into the one output buffer.
     """
-    gates = probs.data.reshape(len(rows.data), -1)
+    xd = rows.data
+    gates = probs.data.reshape(len(xd), -1)
     params = [tuple(e[k] for k in ("w1", "b1", "w2", "b2")) for e in experts]
-    out = np.zeros_like(rows.data)
+    weights = [(e["w1"].data, e["w2"].data) for e in experts]
+    recs = [tuple(p.rec for p in ps) for ps in params]
+    rrows, rprobs = rows.rec, probs.rec
+    grad = _recording(rrows, rprobs, *sum(recs, ()))
+    out = np.zeros_like(xd)
     kept = []  # (expert, row indices, FFN output, GELU, GELU') per expert with rows
     for e, idx in enumerate(groups):
         if len(idx):
-            y, act, dact = _ffn_forward(rows.data[idx], *(p.data for p in params[e]))
+            y, act, dact = _ffn_forward(xd[idx], *(p.data for p in params[e]), grad)
             out[idx] = y * gates[idx, e][:, None]
             kept.append((e, idx, y, act, dact))
 
     def back(g):
-        g_rows, g_gates = np.zeros_like(rows.data), np.zeros_like(gates)
+        g_rows, g_gates = np.zeros_like(xd), np.zeros_like(gates)
         for e, idx, y, act, dact in kept:
             ge = g[idx]
             g_gates[idx, e] = (ge * y).sum(axis=1)
-            g_rows[idx] = _ffn_backward(ge * gates[idx, e][:, None], rows.data[idx], act, dact,
-                                        *params[e])
-        _accumulate(rows, g_rows)
-        _accumulate(probs, g_gates.reshape(probs.data.shape))
+            g_rows[idx] = _ffn_backward(ge * gates[idx, e][:, None], xd[idx], act, dact,
+                                        *weights[e], recs[e])
+        _accumulate(rrows, g_rows)
+        _accumulate(rprobs, g_gates.reshape(rprobs.shape))
 
-    return _record(Tensor(out), (rows, probs) + sum(params, ()), back)
+    return _record(Tensor(out), (rrows, rprobs) + sum(recs, ()), back)
 
 
 def attend(q, k, v, heads):
@@ -514,10 +609,11 @@ def attend(q, k, v, heads):
     reduces down columns, vectorised across queries.  They are formed and
     consumed one block of samples at a time, sized by `_ATTEND_BLOCK`, so a
     block's scores stay in cache and each sample's arithmetic does not
-    depend on B.  The scores become probabilities in place, and only those
-    are kept.  The backward pass is FlashAttention's without its tiling,
-    dS = P * (dP - rowsum(dO * O)), and writes dq, dk and dv straight into
-    (B, L, D) arrays.
+    depend on B.  The scores become probabilities in place.  A recorded
+    node keeps every block's probabilities, a node that is not recorded
+    reuses one block's buffer.  The backward pass is FlashAttention's
+    without its tiling, dS = P * (dP - rowsum(dO * O)), and writes dq, dk
+    and dv straight into (B, L, D) arrays.
     """
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % heads:
         raise ShapeError(f"attend needs equal (B, L, D) q, k, v with D divisible by "
@@ -530,19 +626,26 @@ def attend(q, k, v, heads):
         return a.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    pt = np.empty((b, heads, n, n), dtype=dtype)  # P^T: keys down, queries across
-    step = max(1, _ATTEND_BLOCK // max(1, pt[:1].nbytes))
+    recs = (q.rec, k.rec, v.rec)
+    keep = _recording(*recs)
+    step = max(1, _ATTEND_BLOCK // max(1, heads * n * n * dtype.itemsize))
     blocks = [slice(i, i + step) for i in range(0, b, step)]
+    # P^T: keys down, queries across
+    pt = np.empty((b if keep else min(b, step), heads, n, n), dtype=dtype)
     y = np.empty((b, n, d), dtype=dtype)
     for blk in blocks:
-        s = np.matmul(kh[blk], np.swapaxes(qh[blk], -1, -2), out=pt[blk])
+        scores = pt[blk] if keep else pt[:min(step, b - blk.start)]
+        s = np.matmul(kh[blk], np.swapaxes(qh[blk], -1, -2), out=scores)
         s *= scale
         _softmax_rows(s, axis=-2)
         np.matmul(np.swapaxes(s, -1, -2), vh[blk], out=split(y)[blk])
     out = Tensor(y)
+    if not keep:
+        return out
+    rq, rk, rv = recs
 
     def back(g):
-        gh, oh = split(g), split(out.data)
+        gh, oh = split(g), split(y)
         gq, gk, gv = (np.empty((b, n, d), dtype=dtype) for _ in range(3))
         work = np.empty_like(pt[:step])  # one block's dS^T, reused
         for blk in blocks:
@@ -554,11 +657,11 @@ def attend(q, k, v, heads):
             np.matmul(p, gh[blk], out=split(gv)[blk])
             np.matmul(np.swapaxes(ds, -1, -2), kh[blk], out=split(gq)[blk])
             np.matmul(ds, qh[blk], out=split(gk)[blk])
-        _accumulate(v, gv)
-        _accumulate(q, gq)
-        _accumulate(k, gk)
+        _accumulate(rv, gv)
+        _accumulate(rq, gq)
+        _accumulate(rk, gk)
 
-    return _record(out, (q, k, v), back)
+    return _record(out, recs, back)
 
 
 # ---------------------------------------------------------------------------
@@ -630,13 +733,14 @@ def masked_l1(pred, target, mask):
     err = np.abs(diff)
     err *= m
     out = Tensor(err.sum(axis=axes) / count)
+    rpred = pred.rec
 
     def back(g):
         gp = np.sign(diff)
         gp *= np.expand_dims(g / count, axes) * m
-        _accumulate(pred, gp)
+        _accumulate(rpred, gp)
 
-    return _record(out, (pred,), back)
+    return _record(out, (rpred,), back)
 
 
 def l1_loss(pred, target, mask):
@@ -660,11 +764,12 @@ def bce_with_logits(logits, targets):
     val = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     out = Tensor(np.asarray(val.mean(), dtype=z.dtype))
     n = z.size
+    rlogits = logits.rec
 
     def back(g):
-        _accumulate(logits, g * (expit(z) - y) / n)
+        _accumulate(rlogits, g * (expit(z) - y) / n)
 
-    return _record(out, (logits,), back)
+    return _record(out, (rlogits,), back)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -676,9 +781,11 @@ def softmax_cross_entropy(logits, labels):
     n = z.shape[0]
     out = Tensor(np.asarray(-logp[np.arange(n), lab].mean(), dtype=z.dtype))
 
+    rlogits = logits.rec
+
     def back(g):
         p = np.exp(logp)
         p[np.arange(n), lab] -= 1.0
-        _accumulate(logits, g * p / n)
+        _accumulate(rlogits, g * p / n)
 
-    return _record(out, (logits,), back)
+    return _record(out, (rlogits,), back)

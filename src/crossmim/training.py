@@ -272,16 +272,18 @@ class Trainer:
         state = self.state
         batch = self.next_round()
         lr_mult = lr_at(state.step, self.cfg, self.steps_per_epoch)
-        try:
-            with T.fresh_tape():
+        with T.fresh_tape():
+            try:
                 loss, stats = self.loss(state.params, batch)
                 if not np.isfinite(loss.data):
                     raise NumericError("non-finite loss", diagnostics={"stats": stats})
                 T.backward(loss)
-        except NumericError as e:
-            raise self._dump_and_wrap(e, batch) from e
-        adamw_step(self.trainable, state.m, state.v, state.step,
-                   self.cfg.base_lr, lr_mult, self.cfg, self.lr_scales)
+            except NumericError as e:
+                raise self._dump_and_wrap(e, batch) from e
+            # the tape is released after the update: released before it, glibc
+            # trims the freed heap and every round faults it back in
+            adamw_step(self.trainable, state.m, state.v, state.step,
+                       self.cfg.base_lr, lr_mult, self.cfg, self.lr_scales)
         metrics = {
             "step": state.step,
             "epoch": self.epoch,
@@ -298,15 +300,18 @@ class Trainer:
         epochs = self.cfg.epochs if epochs is None else epochs
         target = epochs * self.steps_per_epoch
         last = None
+        final = checkpoint_dir and os.path.join(checkpoint_dir, "checkpoint-final.msgm")
         while self.state.step < target:
             last = self.train_step()
-            boundary = self.state.step % self.steps_per_epoch == 0
-            if checkpoint_dir and boundary:
-                ep = self.epoch
-                if ep % self.cfg.checkpoint_every == 0 or self.state.step == target:
-                    self.save(os.path.join(checkpoint_dir, f"checkpoint-epoch{ep}.msgm"))
+            if checkpoint_dir and self.state.step % self.steps_per_epoch == 0:
+                epoch = os.path.join(checkpoint_dir, f"checkpoint-epoch{self.epoch}.msgm")
+                if self.state.step == target:  # the run ends here: both files, one encoding
+                    self.save(epoch, final)
+                    return last
+                if self.epoch % self.cfg.checkpoint_every == 0:
+                    self.save(epoch)
         if checkpoint_dir:
-            self.save(os.path.join(checkpoint_dir, "checkpoint-final.msgm"))
+            self.save(final)
         return last
 
     def _dump_and_wrap(self, err, batch):
@@ -321,7 +326,9 @@ class Trainer:
         return NumericError(str(err), diagnostics=diag)
 
     # -- persistence ---------------------------------------------------------
-    def save(self, path):
+    def save(self, path, *copies):
+        """Write the state to `path`, then its bytes to each of `copies`;
+        every file is written atomically."""
         named = {k: p.data for k, p in self.state.params.items()}
         named.update({f"opt.m.{k}": arr for k, arr in self.state.m.items()})
         named.update({f"opt.v.{k}": arr for k, arr in self.state.v.items()})
@@ -334,7 +341,9 @@ class Trainer:
         named["sampler.sensor_ids"] = np.asarray(sids, dtype=np.int64)
         named["sampler.cycle"] = np.asarray([self.samplers[s].cycle for s in sids], dtype=np.int64)
         named["sampler.pos"] = np.asarray([self.samplers[s].pos for s in sids], dtype=np.int64)
-        ckpt.save_tensors(path, named)
+        blob = ckpt.save_tensors(path, named)
+        for other in copies:
+            ckpt.write_atomic(other, blob)
 
     def resume(self, path):
         named = ckpt.load_tensors(path)

@@ -9,7 +9,7 @@ from crossmim.encoder import RoutingReport, attention, encode, expert_capacity, 
 from crossmim.errors import ConfigError, NumericError, ShapeError
 
 import oracles
-from test_tensor import check_op, weighted
+from test_tensor import check_op, held_arrays, weighted
 
 
 def test_every_other_block_puts_moe_in_odd_slots():
@@ -92,33 +92,13 @@ def test_attention_gradients(rng):
     check_op(build, x, wq, bq)
 
 
-def tape_arrays(tape):
-    """Every distinct array the tape keeps alive: node outputs and the arrays
-    and tensors their backward closures capture, also inside lists and
-    tuples."""
-    found = {}
-
-    def visit(item):
-        if isinstance(item, (list, tuple)):
-            for sub in item:
-                visit(sub)
-            return
-        arr = item.data if isinstance(item, T.Tensor) else item
-        if isinstance(arr, np.ndarray):
-            found[id(arr)] = arr
-
-    for out, fn in tape.nodes:
-        visit([out] + [c.cell_contents for c in fn.__closure__ or ()])
-    return list(found.values())
-
-
 def test_attention_tape_keeps_one_score_sized_array(rng):
     b, n, d, heads = 2, 7, 8, 2  # L differs from every other axis length
     p = attn_params(rng, d, dtype=np.float32, grad=True)
     x = T.Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
     with T.fresh_tape() as tape:
         attention(x, p, heads)
-        scores = [a for a in tape_arrays(tape) if a.shape[-2:] == (n, n)]
+        scores = [a for a in held_arrays(tape) if a.shape[-2:] == (n, n)]
     assert len(scores) == 1
     assert scores[0].shape == (b, heads, n, n)
 
@@ -126,7 +106,7 @@ def test_attention_tape_keeps_one_score_sized_array(rng):
 def hidden_sized(tape, hidden, params):
     """Tape arrays whose last axis is the FFN hidden width, parameters aside."""
     skip = {id(p.data) for p in params}
-    return [a for a in tape_arrays(tape) if a.shape[-1:] == (hidden,) and id(a) not in skip]
+    return [a for a in held_arrays(tape) if a.shape[-1:] == (hidden,) and id(a) not in skip]
 
 
 def test_ffn_tape_keeps_two_hidden_sized_arrays(rng):

@@ -22,6 +22,7 @@ from crossmim.training import STREAM_CROSS, STREAM_MASK, TrainConfig, Trainer, s
 from crossmim.transfer import HEADS, TransferConfig, init_transfer_params, make_task, task_loss
 
 import oracles
+from test_tensor import held, held_arrays, held_bytes, shares_any
 
 MCFG = ModelConfig(width=16, depth=2, heads=2, patch_size=4, image_w=16,
                    image_h=16, mask_unit=8, mask_ratio=0.6, moe=True,
@@ -265,15 +266,10 @@ def test_batched_round_matches_per_sample_oracle_in_float64(moe):
 def test_float32_round_tape_holds_no_float64_array():
     params = init_params(REG, MCFG, seed=1)
     ds = gen_synthetic(REG, 2, 16, 16, seed=3)
-    wide = []
     with T.fresh_tape() as tape:
         round_loss(params, MCFG, ds, full_batch(ds), stream_rng(1, STREAM_MASK),
                    stream_rng(1, STREAM_CROSS), p_cross=0.5)
-        for out, fn in tape.nodes:
-            held = [out.data] + [c.cell_contents for c in fn.__closure__ or ()]
-            held = [h.data if isinstance(h, T.Tensor) else h for h in held]
-            wide += [fn.__qualname__ for h in held
-                     if isinstance(h, np.ndarray) and h.dtype == np.float64]
+        wide = [a.shape for a in held_arrays(tape) if a.dtype == np.float64]
     assert len(tape) > 0
     assert wide == []
 
@@ -313,10 +309,12 @@ def test_criterion_1_loss_records_every_model_primitive():
 
 @pytest.fixture(scope="module")
 def desk_round_tape():
-    """(node count, node kinds, encode calls, decode calls) of one round at
-    the benchmark's desk-pretrain shape: five sensors, 32x32, width 32,
-    depth 4, MoE, base batch 8.  An encode call is logged by its token
-    shape, a decode call by its target sensor."""
+    """(node count, node kinds, encode calls, decode calls, bytes held, tensors
+    held) of one round at the benchmark's desk-pretrain shape: five sensors,
+    32x32, width 32, depth 4, MoE, base batch 8.  An encode call is logged by
+    its token shape, a decode call by its target sensor.  The bytes are
+    those of the arrays the tape holds after the forward pass, parameters
+    aside."""
     ds = gen_synthetic(desk_registry(), 32, 32, 32, seed=7)
     trainer = Trainer(ds, ModelConfig(), TrainConfig(base_batch=8, seed=7))
     encoded, decoded = [], []
@@ -335,27 +333,62 @@ def desk_round_tape():
         with T.fresh_tape() as tape:
             trainer.loss(trainer.state.params, trainer.next_round())
             kinds = {fn.__qualname__.split(".")[0] for _, fn in tape.nodes}
-    return len(tape), kinds, encoded, decoded
+            nbytes = held_bytes(tape, [p.data for p in trainer.state.params.values()])
+            tensors = [o for o in held(tape) if isinstance(o, T.Tensor)]
+    return len(tape), kinds, encoded, decoded, nbytes, tensors
 
 
 def test_desk_round_tape_budget(desk_round_tape):
     """Each feed-forward, expert bank and attention is one node, the trunk
     runs once for all five sensors, and the loss is one weighted sum: about
     141 nodes in all."""
-    nodes, kinds, _, _ = desk_round_tape
+    nodes, kinds = desk_round_tape[:2]
     assert nodes <= 148
     assert {"ffn", "moe_ffn", "attend"} <= kinds
     assert not kinds & {"gelu", "put_rows"}
 
 
+def test_desk_round_tape_holds_at_most_33_mib(desk_round_tape):
+    """The tape holds gradient records and only the arrays that backward
+    reads: 31.5 MiB after the forward pass.  Holding whole tensors, so also
+    every residual sum, projection and FFN output, it held 39.8 MiB."""
+    assert desk_round_tape[4] <= 33 * 2**20
+
+
+def test_desk_round_tape_holds_no_tensor(desk_round_tape):
+    assert desk_round_tape[5] == []
+
+
 def test_desk_round_encodes_every_sensor_in_one_call(desk_round_tape):
-    _, _, encoded, _ = desk_round_tape
+    encoded = desk_round_tape[2]
     assert encoded == [(40, ModelConfig().tokens, ModelConfig().width)]
 
 
 def test_desk_round_decodes_each_target_sensor_once(desk_round_tape):
-    _, _, _, decoded = desk_round_tape
+    decoded = desk_round_tape[3]
     assert decoded == [0, 1, 2, 3, 4]
+
+
+def test_encode_tape_holds_no_residual_sum(monkeypatch):
+    """No backward pass reads a residual sum x + attention(...) or
+    x + feed-forward(...), so none is reachable from the tape after encode."""
+    params = init_params(REG, MCFG, seed=2)
+    tokens = T.Tensor(np.random.default_rng(5).normal(size=(3, MCFG.tokens, MCFG.width)),
+                      requires_grad=True)
+    sums, add = [], T.add
+
+    def spy(a, b):
+        out = add(a, b)
+        if out.shape == tokens.shape:
+            sums.append(out.data)
+        return out
+
+    monkeypatch.setattr(T, "add", spy)
+    with T.fresh_tape() as tape:
+        encode(tokens, MCFG, params)
+        kept = held_arrays(tape)
+    assert len(sums) == 2 * MCFG.depth
+    assert kept and not shares_any(kept, sums)
 
 
 def test_readme_desk_round_node_count_is_measured(desk_round_tape):

@@ -1,5 +1,8 @@
 """Autodiff core: finite-difference checks per op, tape mechanics, errors."""
 
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 from scipy.special import erf, ndtr
@@ -72,6 +75,111 @@ def test_operator_sugar_with_python_scalars():
 
 # ---------------------------------------------------------------------------
 # tape mechanics
+
+def held(tape):
+    """Every object a node of `tape` reaches: the node, its output record
+    and that record's gradient, and what its backward closure captures,
+    looking inside lists, tuples, records, tensors and nested functions."""
+    found = {}
+
+    def visit(item):
+        if id(item) in found:
+            return
+        found[id(item)] = item
+        if isinstance(item, (list, tuple)):
+            for sub in item:
+                visit(sub)
+        elif isinstance(item, types.FunctionType):
+            for cell in item.__closure__ or ():
+                visit(cell.cell_contents)
+        elif isinstance(item, T.GradRecord):
+            visit(item.grad)
+        elif isinstance(item, T.Tensor):
+            visit(item.data)
+
+    for node in tape.nodes:
+        visit(node)
+    return list(found.values())
+
+
+def held_arrays(tape):
+    return [a for a in held(tape) if isinstance(a, np.ndarray)]
+
+
+def _buffer(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def held_bytes(tape, exclude=()):
+    """Bytes of the distinct buffers behind the tape's arrays, where a view
+    counts as the array it views, leaving out the buffers of `exclude`."""
+    skip = {id(_buffer(a)) for a in exclude}
+    buffers = {id(b): b for b in map(_buffer, held_arrays(tape))}
+    return sum(b.nbytes for key, b in buffers.items() if key not in skip)
+
+
+def shares_any(arrays, others):
+    return any(np.shares_memory(a, b) for a in arrays for b in others)
+
+
+def test_add_and_shape_ops_keep_no_array():
+    """add, reshape and concat keep records only; take_rows keeps its index."""
+    a = T.Tensor(np.ones((4, 3)), requires_grad=True)
+    b = T.Tensor(np.ones((4, 3)), requires_grad=True)
+    for build in (lambda: a + b, lambda: T.reshape(a, (3, 4)), lambda: T.concat([a, b]),
+                  lambda: T.take_rows(a, [2, 0])):
+        with T.fresh_tape() as tape:
+            build()
+        assert len(tape) == 1
+        assert not any(isinstance(o, T.Tensor) for o in held(tape))
+        assert [kept.tolist() for kept in held_arrays(tape)] in ([], [[2, 0]])
+
+
+def test_layer_norm_does_not_hold_its_input(rng):
+    x = T.Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True)
+    gamma = T.Tensor(rng.normal(size=8), requires_grad=True)
+    beta = T.Tensor(np.zeros(8), requires_grad=True)
+    with T.fresh_tape() as tape:
+        T.layer_norm(x, gamma, beta)
+    kept = held_arrays(tape)
+    assert not shares_any(kept, [x.data])
+    assert shares_any(kept, [gamma.data])
+
+
+def test_mul_keeps_an_operand_only_for_the_other_operands_gradient(rng):
+    x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    c = T.constant(rng.normal(size=(3, 4)), like=x)
+    with T.fresh_tape() as tape:
+        x * c
+    kept = held_arrays(tape)
+    assert shares_any(kept, [c.data])
+    assert not shares_any(kept, [x.data])
+    y = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    with T.fresh_tape() as tape:
+        x * y
+    assert shares_any(held_arrays(tape), [x.data]) and shares_any(held_arrays(tape), [y.data])
+
+
+def test_backward_follows_reassigned_data():
+    """Assigning `data`, as AdamW and checkpoint loads do, keeps the record
+    in step: the gradient takes the new array's shape and dtype."""
+    p = T.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    p.data = np.full((3, 2), 2.0)  # float64, a new shape
+    assert (p.rec.shape, p.rec.dtype) == ((3, 2), np.float64)
+    with T.fresh_tape():
+        T.backward(T.reduce_sum(p * T.Tensor(np.ones(2), dtype=np.float64)))
+    assert p.grad.shape == (3, 2) and p.grad.dtype == np.float64
+    np.testing.assert_array_equal(p.grad, np.ones((3, 2)))
+    b = T.Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+    b.data = np.arange(4, dtype=np.float32)  # same shape and dtype
+    x = T.Tensor(np.ones((2, 5, 4), dtype=np.float32))
+    with T.fresh_tape():
+        T.backward(T.reduce_sum(x + b))  # a broadcast gradient sums down to b
+    assert b.grad.shape == (4,) and b.grad.dtype == np.float32
+    np.testing.assert_array_equal(b.grad, np.full(4, 10.0, dtype=np.float32))
+
 
 def test_fresh_tape_isolates_and_restores():
     outer = T.active_tape()
@@ -400,6 +508,51 @@ def test_attend_blocks_match_single_sample_calls_bitwise_in_float32(rng):
     for j, got in enumerate(batched):
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, np.concatenate([s[j] for s in single]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unrecorded_ffn_and_moe_ffn_never_ask_for_gelu_derivative(rng, monkeypatch, dtype):
+    asked = []
+    gelu = T._gelu
+
+    def spy(h, grad=True):
+        asked.append(grad)
+        return gelu(h, grad)
+
+    monkeypatch.setattr(T, "_gelu", spy)
+    arrays, moe = moe_case(rng, [np.array([0, 4]), np.array([2, 3, 5])])
+    cases = [(T.ffn, (rng.normal(size=(2, 4, 6)),) + ffn_arrays(rng)), (moe, arrays)]
+    for op, inputs in cases:
+        leaves = [T.Tensor(a, dtype=dtype, requires_grad=True) for a in inputs]
+        with T.no_grad():
+            unrecorded = op(*leaves).data
+        assert asked and not any(asked)
+        asked.clear()
+        with T.fresh_tape():
+            recorded = op(*leaves).data
+        assert asked and all(asked)
+        asked.clear()
+        np.testing.assert_array_equal(unrecorded, recorded)
+
+
+def test_unrecorded_attend_reuses_one_block_of_scores(rng):
+    """Without a tape, attend keeps no (B, H, L, L) probabilities: it reuses
+    one sample block's score buffer, and its output keeps the same bits."""
+    heads, n, d = 4, 128, 32
+    per_sample = heads * n * n * 4
+    b = 2 * (T._ATTEND_BLOCK // per_sample) + 1  # two full sample blocks and a partial third
+    q, k, v = (T.Tensor(rng.normal(size=(b, n, d)), requires_grad=True) for _ in range(3))
+    with T.fresh_tape():
+        recorded = T.attend(q, k, v, heads).data
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            unrecorded = T.attend(q, k, v, heads).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < b * per_sample
+    np.testing.assert_array_equal(unrecorded, recorded)
 
 
 def test_attend_rejects_nan_scores(rng):

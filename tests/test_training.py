@@ -266,6 +266,31 @@ def test_train_epochs_writes_checkpoints(tmp_path):
     assert tr.state.step == tr.cfg.epochs * tr.steps_per_epoch
 
 
+def test_train_epochs_encodes_the_last_checkpoint_once(tmp_path, monkeypatch):
+    """A run that ends on an epoch boundary writes its last epoch checkpoint
+    and checkpoint-final from one encoding; resuming from either continues
+    the trajectory bit for bit."""
+    encoded, save = [], ckpt.save_tensors
+
+    def counted(path, named):
+        encoded.append(os.path.basename(path))
+        return save(path, named)
+
+    monkeypatch.setattr(ckpt, "save_tensors", counted)
+    tr = make_trainer(checkpoint_every=1)
+    tr.train_epochs(checkpoint_dir=str(tmp_path))
+    assert encoded == ["checkpoint-epoch1.msgm", "checkpoint-epoch2.msgm"]
+    last = (tmp_path / "checkpoint-epoch2.msgm").read_bytes()
+    assert (tmp_path / "checkpoint-final.msgm").read_bytes() == last
+    want = tr.train_step()["loss_total"]
+    for name in ("checkpoint-epoch2.msgm", "checkpoint-final.msgm"):
+        fresh = make_trainer()
+        fresh.resume(str(tmp_path / name))
+        assert fresh.train_step()["loss_total"] == want
+        for k, p in tr.state.params.items():
+            np.testing.assert_array_equal(fresh.state.params[k].data, p.data)
+
+
 def test_resume_restores_exact_trajectory(tmp_path):
     path = str(tmp_path / "ckpt.msgm")
     solo = make_trainer()

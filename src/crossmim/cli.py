@@ -272,7 +272,6 @@ def cmd_finetune(args, run):
         seed=run["seed"],
         log_path=os.path.join(args.out, "finetune-log.jsonl"), dump_dir=args.out,
     )
-    scores = task_metrics(params, mcfg, tcfg, task_sensors, samples)
     named = {k: p.data for k, p in params.items()}
     named["meta.registry"] = ckpt.registry_digest(dataset.registry)
     named["meta.transfer_config"] = ckpt.json_to_u8({
@@ -280,6 +279,8 @@ def cmd_finetune(args, run):
         "num_classes": tcfg.num_classes, "out_channels": tcfg.out_channels,
     })
     ckpt.save_tensors(os.path.join(args.out, "head.msgm"), named)
+    # scored after the save, so an undefined metric (exit 4) keeps the head
+    scores = task_metrics(params, mcfg, tcfg, task_sensors, samples)
     summary = {"initial_loss": losses[0], "final_loss": losses[-1], **scores}
     _write_json(os.path.join(args.out, "finetune-summary.json"), summary)
     print(f"task sensors: {list(task_sensors)}  mode: {tcfg.mode}  head: {tcfg.head}")

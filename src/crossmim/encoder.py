@@ -49,7 +49,10 @@ class BatchRouting(tuple):
 
 
 def expert_capacity(n_tokens, num_experts, capacity_factor):
-    return max(1, int(math.floor(capacity_factor * n_tokens / num_experts)))
+    """Tokens one expert takes per sample: floor(cf * n_tokens / E), at
+    least 1 and at most n_tokens, which no expert can exceed anyway; the
+    clamp comes before the int, so a huge factor cannot overflow."""
+    return max(1, int(math.floor(min(capacity_factor * n_tokens / num_experts, n_tokens))))
 
 
 def attention(x, p, heads):

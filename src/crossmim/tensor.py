@@ -197,7 +197,10 @@ def _unbroadcast(g, shape):
     Each sample's share is reduced first; the samples are then added last
     to first, the order in which one tape node per sample would have
     accumulated them, so a batch gets the same gradient bits as its samples
-    run one at a time.
+    run one at a time.  When a share has more than one element, one
+    `np.add.reduce` over the reversed batch axis adds them in that order.
+    A one-element share would make that a pairwise sum, so those shares
+    are added one by one.
     """
     extra = g.ndim - len(shape)
     axes = tuple(range(1, extra)) + tuple(
@@ -205,9 +208,12 @@ def _unbroadcast(g, shape):
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     if extra > 0:
-        total = g[-1]
-        for part in g[-2::-1]:
-            total = total + part
+        if g[0].size > 1:
+            total = np.add.reduce(g[::-1], axis=0)
+        else:
+            total = g[-1]
+            for part in g[-2::-1]:
+                total = total + part
         g = total.reshape(shape)
     return g
 
@@ -423,19 +429,22 @@ def linear(x, w, b):
 
 
 def _softmax_rows(s, axis=-1):
-    """Overwrite s with its row-stable softmax along `axis`; rejects NaN."""
+    """Overwrite s with its row-stable softmax along `axis`; rejects NaN.
+    Returns each row's max and its sum of exponentials, keepdims-shaped."""
     row_max = s.max(axis=axis, keepdims=True)
     if np.isnan(row_max).any():  # max propagates NaN, so this sees every NaN row
         raise NumericError("softmax received NaN input")
     s -= row_max
     np.exp(s, out=s)
-    s /= s.sum(axis=axis, keepdims=True)
-    return s
+    row_sum = s.sum(axis=axis, keepdims=True)
+    s /= row_sum
+    return row_max, row_sum
 
 
 def softmax(a, axis=-1):
     """Row-stable softmax; rejects NaN input."""
-    y = _softmax_rows(a.data.copy(), axis)
+    y = a.data.copy()
+    _softmax_rows(y, axis)
     ra = a.rec
 
     def back(g):
@@ -475,8 +484,8 @@ _TAIL_POLY = tuple(0.5 * a for a in (1.061405429, -1.453152027, 1.421413741,
                                      -0.284496736, 0.254829592))
 # float32 elements per GELU block: its temporaries (128 KiB each) stay in cache
 _GELU_BLOCK = 1 << 15
-# bytes of attention scores per sample block: a block's scores and its
-# backward dS^T work array stay in cache together
+# bytes of attention scores per sample block: the backward pass's re-formed
+# P^T and dS^T of one block stay in cache together
 _ATTEND_BLOCK = 1 << 19
 
 
@@ -607,13 +616,15 @@ def attend(q, k, v, heads):
     merged through strided views, with no per-head copies.  Scores are
     formed keys-major, k_h @ q_h^T shaped (B, H, L_k, L_q), so the softmax
     reduces down columns, vectorised across queries.  They are formed and
-    consumed one block of samples at a time, sized by `_ATTEND_BLOCK`, so a
-    block's scores stay in cache and each sample's arithmetic does not
-    depend on B.  The scores become probabilities in place.  A recorded
-    node keeps every block's probabilities, a node that is not recorded
-    reuses one block's buffer.  The backward pass is FlashAttention's
-    without its tiling, dS = P * (dP - rowsum(dO * O)), and writes dq, dk
-    and dv straight into (B, L, D) arrays.
+    consumed one block of samples at a time in one reused buffer, sized by
+    `_ATTEND_BLOCK`, so a block's scores stay in cache and each sample's
+    arithmetic does not depend on B.  The node keeps q, k, v, the output
+    and each query's softmax max and sum, never the (B, H, L, L)
+    probabilities.  As in FlashAttention, the backward pass re-forms each
+    block's P^T from the max and sum with the forward's own operations, so
+    P keeps its bits, and takes dS = P * (dP - rowsum(dO * O)) without
+    FlashAttention's tiling.  It writes dq, dk and dv straight into
+    (B, L, D) arrays.
     """
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % heads:
         raise ShapeError(f"attend needs equal (B, L, D) q, k, v with D divisible by "
@@ -627,30 +638,35 @@ def attend(q, k, v, heads):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     recs = (q.rec, k.rec, v.rec)
-    keep = _recording(*recs)
     step = max(1, _ATTEND_BLOCK // max(1, heads * n * n * dtype.itemsize))
     blocks = [slice(i, i + step) for i in range(0, b, step)]
-    # P^T: keys down, queries across
-    pt = np.empty((b if keep else min(b, step), heads, n, n), dtype=dtype)
-    y = np.empty((b, n, d), dtype=dtype)
-    for blk in blocks:
-        scores = pt[blk] if keep else pt[:min(step, b - blk.start)]
-        s = np.matmul(kh[blk], np.swapaxes(qh[blk], -1, -2), out=scores)
+    block_shape = (min(b, step), heads, n, n)
+
+    def scores(blk, buf):  # a block's scaled S^T in buf: keys down, queries across
+        kb = kh[blk]
+        s = np.matmul(kb, np.swapaxes(qh[blk], -1, -2), out=buf[:len(kb)])
         s *= scale
-        _softmax_rows(s, axis=-2)
+        return s
+
+    row_max, row_sum = (np.empty((b, heads, 1, n), dtype=dtype) for _ in range(2))
+    y = np.empty((b, n, d), dtype=dtype)
+    pt = np.empty(block_shape, dtype=dtype)
+    for blk in blocks:
+        s = scores(blk, pt)
+        row_max[blk], row_sum[blk] = _softmax_rows(s, axis=-2)
         np.matmul(np.swapaxes(s, -1, -2), vh[blk], out=split(y)[blk])
-    out = Tensor(y)
-    if not keep:
-        return out
     rq, rk, rv = recs
 
     def back(g):
         gh, oh = split(g), split(y)
         gq, gk, gv = (np.empty((b, n, d), dtype=dtype) for _ in range(3))
-        work = np.empty_like(pt[:step])  # one block's dS^T, reused
+        p_buf, ds_buf = np.empty((2,) + block_shape, dtype=dtype)  # one block's P^T and dS^T
         for blk in blocks:
-            p = pt[blk]
-            ds = np.matmul(vh[blk], np.swapaxes(gh[blk], -1, -2), out=work[:len(p)])  # dP^T
+            p = scores(blk, p_buf)
+            p -= row_max[blk]
+            np.exp(p, out=p)
+            p /= row_sum[blk]
+            ds = np.matmul(vh[blk], np.swapaxes(gh[blk], -1, -2), out=ds_buf[:len(p)])  # dP^T
             ds -= (gh[blk] * oh[blk]).sum(axis=-1)[..., None, :]
             ds *= p
             ds *= scale
@@ -661,7 +677,7 @@ def attend(q, k, v, heads):
         _accumulate(rq, gq)
         _accumulate(rk, gk)
 
-    return _record(out, recs, back)
+    return _record(Tensor(y), recs, back)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,46 @@ def attend_heads_composite(q, k, v, heads, g):
     return out, gq, gk, gv
 
 
+def attend_kept_p(q, k, v, heads, g, block):
+    """Multi-head attention as `T.attend` ran while it kept the
+    probabilities: the same sample blocks of `block` bytes of scores and
+    the same NumPy operations, but every block's P^T stays in one
+    (B, H, L, L) array from the forward to the backward pass.  Returns
+    the output and dq, dk, dv, for a bitwise check of the re-formed P."""
+    b, n, d = q.shape
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a):
+        return a.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    step = max(1, block // (heads * n * n * q.dtype.itemsize))
+    blocks = [slice(i, i + step) for i in range(0, b, step)]
+    pt = np.empty((b, heads, n, n), dtype=q.dtype)
+    y = np.empty_like(q)
+    for blk in blocks:
+        s = np.matmul(kh[blk], np.swapaxes(qh[blk], -1, -2), out=pt[blk])
+        s *= scale
+        s -= s.max(axis=-2, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-2, keepdims=True)
+        np.matmul(np.swapaxes(s, -1, -2), vh[blk], out=split(y)[blk])
+    oh = split(y)
+    gq, gk, gv = (np.empty_like(q) for _ in range(3))
+    work = np.empty_like(pt[:step])
+    for blk in blocks:
+        p = pt[blk]
+        ds = np.matmul(vh[blk], np.swapaxes(gh[blk], -1, -2), out=work[:len(p)])
+        ds -= (gh[blk] * oh[blk]).sum(axis=-1)[..., None, :]
+        ds *= p
+        ds *= scale
+        np.matmul(p, gh[blk], out=split(gv)[blk])
+        np.matmul(np.swapaxes(ds, -1, -2), kh[blk], out=split(gq)[blk])
+        np.matmul(ds, qh[blk], out=split(gk)[blk])
+    return y, gq, gk, gv
+
+
 def ffn_composite(x, w1, b1, w2, b2, g):
     """linear, exact erf GELU, linear."""
     h = x @ w1 + b1

@@ -431,6 +431,31 @@ def test_finetune_numeric_failure_writes_dump(ws, tmp_path, capsys):
     assert os.path.dirname(dump) == str(out) and os.path.isfile(dump)
 
 
+def test_huge_capacity_factor_pretrains(ws, tmp_path, capsys):
+    code = main(["pretrain", "--config", ws["cfg"], "--data", ws["data"],
+                 "--out", str(tmp_path / "pre"), "--set", "model.capacity_factor=1e308"])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_finetune_keeps_the_head_when_the_metric_is_undefined(ws, tmp_path, capsys):
+    """A multilabel task with no positive label has no mAP: exit 4, but the
+    trained head is already on disk."""
+    sets = ["--set", "data.registry=single", "--set", "data.n_per_sensor=5",
+            "--set", "data.width=8", "--set", "data.height=16", "--set", "model.width=6",
+            "--set", "transfer.classes=2", "--set", "transfer.head=multilabel"]
+    data, out = tmp_path / "data", tmp_path / "ft"
+    assert main(["gen-data", "--config", ws["cfg"], "--out", str(data)] + sets) == 0
+    capsys.readouterr()
+    code = main(["finetune", "--config", ws["cfg"], "--data", str(data),
+                 "--out", str(out)] + sets)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "Traceback" not in err
+    named = ckpt.load_tensors(str(out / "head.msgm"))
+    assert "head.w" in named and "meta.transfer_config" in named
+
+
 def test_compat_error_exit_codes(ws, tmp_path, capsys):
     out = str(tmp_path / "x")
     code = main(["evaluate", "--config", ws["cfg"], "--data", ws["data"],

@@ -563,6 +563,85 @@ def test_attend_rejects_nan_scores(rng):
                  T.Tensor(rng.normal(size=(1, 4, 6))), 2)
 
 
+def test_recorded_attend_rejects_nan_scores(rng):
+    q = rng.normal(size=(1, 4, 6))
+    q[0, 2, 4] = np.nan
+    leaves = [T.Tensor(a, requires_grad=True) for a in (q, rng.normal(size=(1, 4, 6)),
+                                                        rng.normal(size=(1, 4, 6)))]
+    with T.fresh_tape() as tape:
+        with pytest.raises(NumericError, match="softmax received NaN input"):
+            T.attend(*leaves, 2)
+    assert len(tape) == 0
+
+
+def multi_block_attend_case(rng):
+    """(heads, q, k, v, g) in float32 for two full sample blocks of
+    attention scores plus a partial third."""
+    heads, n, d = 4, 128, 32
+    b = 2 * (T._ATTEND_BLOCK // (heads * n * n * 4)) + 1
+    return (heads,) + tuple(rng.normal(size=(b, n, d)).astype(np.float32) for _ in range(4))
+
+
+def test_recorded_attend_keeps_no_probabilities(rng):
+    """The node keeps q, k, v, the output and each query's softmax max and
+    sum; no (L, L) array of scores or probabilities stays on the tape."""
+    heads, q, k, v, _ = multi_block_attend_case(rng)
+    n = q.shape[1]
+    with T.fresh_tape() as tape:
+        T.attend(*(T.Tensor(a, requires_grad=True) for a in (q, k, v)), heads)
+        shapes = [a.shape for a in held_arrays(tape)]
+    assert len(tape) == 1
+    assert (len(q), heads, 1, n) in shapes
+    assert not [s for s in shapes if s[-2:] == (n, n)]
+
+
+def test_attend_matches_kept_probability_attention_bitwise_in_float32(rng):
+    """Re-forming P in the backward pass from each query's max and sum gives
+    the bits of the attention that kept P, output and gradients alike."""
+    heads, q, k, v, g = multi_block_attend_case(rng)
+    leaves = [T.Tensor(a, requires_grad=True) for a in (q, k, v)]
+    with T.fresh_tape():
+        out = T.attend(*leaves, heads)
+        T.backward(T.reduce_sum(out * T.constant(g, like=out)))
+    expect = oracles.attend_kept_p(q, k, v, heads, g, T._ATTEND_BLOCK)
+    for got, want in zip([out.data] + [leaf.grad for leaf in leaves], expect):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
+def sample_loop_sum(g):
+    """Samples added last to first, one at a time."""
+    total = g[-1]
+    for part in g[-2::-1]:
+        total = total + part
+    return total
+
+
+@pytest.mark.parametrize("shape", [(40, 2), (40, 32), (40, 1, 32), (40, 32, 1), (40, 32, 32),
+                                   (40, 32, 128), (8, 128, 512), (8, 256, 128)])
+def test_one_call_sample_sum_adds_last_to_first_on_installed_numpy(shape):
+    """`_unbroadcast`'s one `np.add.reduce` over the reversed batch axis adds
+    multi-element per-sample shares in the loop's order on this NumPy."""
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(20):
+        g = rng.standard_normal(shape, dtype=np.float32)
+        g *= np.float32(10.0) ** rng.integers(-3, 4, size=shape).astype(np.float32)
+        want = sample_loop_sum(g)
+        np.testing.assert_array_equal(np.add.reduce(g[::-1], axis=0), want)
+        np.testing.assert_array_equal(T._unbroadcast(g, shape[1:]), want)
+
+
+@pytest.mark.parametrize("shape", [(40,), (40, 1, 1), (8, 1, 1)])
+def test_one_element_sample_shares_are_added_one_by_one(shape):
+    """A one-element share would turn `np.add.reduce` into a pairwise sum,
+    so `_unbroadcast` keeps the last-to-first loop for it."""
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(200):
+        g = rng.standard_normal(shape, dtype=np.float32)
+        g *= np.float32(10.0) ** rng.integers(-3, 4, size=shape).astype(np.float32)
+        np.testing.assert_array_equal(T._unbroadcast(g, shape[1:]), sample_loop_sum(g))
+
+
 def test_fused_layer_shape_errors():
     x = T.Tensor(np.ones((2, 3, 4)))
     with pytest.raises(ShapeError, match="ffn"):

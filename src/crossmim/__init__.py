@@ -14,8 +14,7 @@ from .encoder import RoutingReport, encode, moe_forward
 from .masking import MaskPlan, draw_mask, to_pixel_mask, to_token_mask
 from .sensors import (Dataset, MultisensorBatch, SampleRecord, SensorRegistry,
                       SensorSpec, desk_registry, gen_synthetic, load_manifest,
-                      pair_registry, register_sensors, save_manifest,
-                      single_registry)
+                      pair_registry, save_manifest, single_registry)
 from .tensor import Tensor, backward, fresh_tape, no_grad
 from .training import TrainConfig, Trainer, make_schedule
 
@@ -25,6 +24,6 @@ __all__ = [
     "Tensor", "TrainConfig", "Trainer", "backward", "desk_config",
     "desk_registry", "draw_mask", "encode", "fresh_tape", "gen_synthetic",
     "load_manifest", "make_schedule", "moe_forward", "no_grad", "paper_config",
-    "pair_registry", "register_sensors", "save_manifest", "single_registry",
+    "pair_registry", "save_manifest", "single_registry",
     "to_pixel_mask", "to_token_mask",
 ]

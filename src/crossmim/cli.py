@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or data-format error,
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -26,15 +25,14 @@ from .errors import (CheckpointError, CompatibilityError, ConfigError,
 from .metrics import ssi
 from .render import reconstruction_grid, write_png, write_ppm
 from .sensors import gen_synthetic, load_manifest, registry_preset, save_manifest
-from .training import Trainer, TrainConfig, json_safe, load_pretrained, stream_rng
+from .training import (STREAM_EVAL, STREAM_RENDER, Trainer, TrainConfig, load_pretrained,
+                       stream_rng, write_json)
 from .transfer import (TransferConfig, cross_reconstruction_l1, finetune,
                        make_task, reconstruct_records, reconstruction_report,
                        task_metrics)
 from .masking import to_pixel_mask
 
 EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_COMPAT = 2, 3, 4, 5
-STREAM_EVAL = 5
-STREAM_RENDER = 6
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +109,6 @@ def format_table(headers, rows):
     out = [line(list(headers)), line(["-" * w for w in widths])]
     out += [line(r) for r in cells]
     return "\n".join(out) + "\n"
-
-
-def _write_json(path, obj):
-    ckpt.write_atomic(path, json.dumps(json_safe(obj), indent=2, allow_nan=False))
 
 
 def _evaluate(params, model_cfg, dataset, run):
@@ -247,7 +241,7 @@ def cmd_ablate(args, run):
     table = format_table(["strategy", "masked_l1", "cross_l1", "mae", "psnr", "ssim"], rows)
     print(table, end="")
     ckpt.write_atomic(os.path.join(args.out, "ablation-table.txt"), table)
-    _write_json(os.path.join(args.out, "ablation.json"), results)
+    write_json(os.path.join(args.out, "ablation.json"), results)
 
 
 def _task_sensor_ids(run, dataset):
@@ -276,13 +270,13 @@ def cmd_finetune(args, run):
     named["meta.registry"] = ckpt.registry_digest(dataset.registry)
     named["meta.transfer_config"] = ckpt.json_to_u8({
         "mode": tcfg.mode, "head": tcfg.head, "task_sensors": list(task_sensors),
-        "num_classes": tcfg.num_classes, "out_channels": tcfg.out_channels,
+        "num_classes": tcfg.num_classes,
     })
     ckpt.save_tensors(os.path.join(args.out, "head.msgm"), named)
     # scored after the save, so an undefined metric (exit 4) keeps the head
     scores = task_metrics(params, mcfg, tcfg, task_sensors, samples)
     summary = {"initial_loss": losses[0], "final_loss": losses[-1], **scores}
-    _write_json(os.path.join(args.out, "finetune-summary.json"), summary)
+    write_json(os.path.join(args.out, "finetune-summary.json"), summary)
     print(f"task sensors: {list(task_sensors)}  mode: {tcfg.mode}  head: {tcfg.head}")
     print(f"loss: {losses[0]:.6f} -> {losses[-1]:.6f} over {len(losses)} steps")
     for k, val in scores.items():
@@ -304,7 +298,7 @@ def cmd_evaluate(args, run):
     payload = {"per_sensor": {dataset.registry[sid].name: vals
                               for sid, vals in report.items()},
                "cross_l1": cross_l1}
-    _write_json(os.path.join(args.out, "metric-report.json"), payload)
+    write_json(os.path.join(args.out, "metric-report.json"), payload)
     ckpt.write_atomic(os.path.join(args.out, "metric-table.txt"), table)
 
 
@@ -339,7 +333,7 @@ def cmd_reconstruct(args, run):
     if wrote_png:
         print(f"wrote {base}.png")
     if stats:
-        _write_json(base + "-stats.json", stats)
+        write_json(base + "-stats.json", stats)
         print(f"wrote {base}-stats.json")
 
 

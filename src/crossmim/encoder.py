@@ -101,7 +101,7 @@ def moe_forward(x, gate_w, experts, capacity_factor=1.25):
     b, n_tokens, width = xb.shape
     rows = T.reshape(xb, (b * n_tokens, width))
 
-    probs = T.softmax(xb @ gate_w, axis=-1)  # (B, T, E)
+    probs = T.softmax(xb @ gate_w)  # (B, T, E)
     assign = np.argmax(probs.data, axis=-1).reshape(-1)  # ties break to lowest index
     capacity = expert_capacity(n_tokens, num_experts, capacity_factor)
 

@@ -19,7 +19,6 @@ class MaskPlan:
 
     mask_unit: int
     grid: np.ndarray  # bool, shape (W/unit, H/unit)
-    ratio: float
 
     @property
     def units_masked(self):
@@ -57,7 +56,7 @@ def draw_mask(w, h, mask_unit, ratio, rng):
     chosen = rng.permutation(total)[:count]
     grid = np.zeros(total, dtype=bool)
     grid[chosen] = True
-    return MaskPlan(mask_unit=mask_unit, grid=grid.reshape(gw, gh), ratio=ratio)
+    return MaskPlan(mask_unit=mask_unit, grid=grid.reshape(gw, gh))
 
 
 def to_token_mask(plan, patch_size):

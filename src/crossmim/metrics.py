@@ -7,9 +7,9 @@ Conventions documented once here:
   label are skipped.  Ranking ties break by ascending original index.
 - PSNR returns math.inf when the images are identical (MSE = 0); callers
   render it as a sentinel rather than capping.
-- SSIM uses a Gaussian window (default 11x11, sigma 1.5) over valid window
-  positions only; on images smaller than the window, the window shrinks to
-  the largest odd size that fits.
+- SSIM uses a Gaussian window fixed at 11x11 and sigma 1.5 over valid
+  window positions only; on images smaller than the window, the window
+  shrinks to the largest odd size that fits.
 - SSI is per band: the coefficient of variation of the filtered image over
   that of the original; 1 means speckle statistics are preserved.
 """
@@ -19,6 +19,10 @@ import math
 import numpy as np
 
 from .errors import NumericError, ShapeError
+
+# SSIM's Gaussian window: side length and standard deviation, in pixels
+_SSIM_WINDOW = 11
+_SSIM_SIGMA = 1.5
 
 
 def _as64(x):
@@ -107,7 +111,7 @@ def psnr(a, b, max_val):
     return float(10.0 * math.log10(max_val * max_val / mse))
 
 
-def ssim(a, b, max_val=1.0, window=11, sigma=1.5):
+def ssim(a, b, max_val=1.0):
     """Mean structural similarity over valid Gaussian windows and channels.
 
     Accepts (W, H) or (C, W, H) arrays.  C1 = (0.01 max)^2, C2 = (0.03 max)^2.
@@ -122,13 +126,13 @@ def ssim(a, b, max_val=1.0, window=11, sigma=1.5):
     if a.ndim != 3:
         raise ShapeError(f"ssim expects (W,H) or (C,W,H), got {a.shape}")
     _, w, h = a.shape
-    k = min(window, w, h)
+    k = min(_SSIM_WINDOW, w, h)
     if k % 2 == 0:
         k -= 1
     if k < 1:
         raise ShapeError(f"image {w}x{h} too small for any ssim window")
     coords = np.arange(k, dtype=np.float64) - (k - 1) / 2.0
-    g = np.exp(-(coords ** 2) / (2.0 * sigma * sigma))
+    g = np.exp(-(coords ** 2) / (2.0 * _SSIM_SIGMA * _SSIM_SIGMA))
     g /= g.sum()  # the 2-D window is outer(g, g)
     c1 = (0.01 * max_val) ** 2
     c2 = (0.03 * max_val) ** 2

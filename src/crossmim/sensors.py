@@ -93,15 +93,11 @@ class SensorRegistry:
         raise ConfigError(f"no sensor named {name!r}")
 
 
-def register_sensors(specs):
-    return SensorRegistry(specs)
-
-
 def desk_registry():
     """Five modalities mirroring a typical multisensor corpus: optical RGB
     (unpaired), a 2-channel radar paired with a 14-channel multispectral
     sensor, and a 1-channel elevation sensor paired with aerial RGB."""
-    return register_sensors([
+    return SensorRegistry([
         SensorSpec(0, "rgb", 3),
         SensorSpec(1, "sar", 2, paired_with=2),
         SensorSpec(2, "ms", 14, paired_with=1),
@@ -112,7 +108,7 @@ def desk_registry():
 
 def pair_registry():
     """One colocated pair: a 2-channel radar-like and a 3-channel optical."""
-    return register_sensors([
+    return SensorRegistry([
         SensorSpec(0, "sar", 2, paired_with=1),
         SensorSpec(1, "optical", 3, paired_with=0),
     ])
@@ -120,7 +116,7 @@ def pair_registry():
 
 def single_registry():
     """One unpaired 3-channel sensor (degenerate single-modality mode)."""
-    return register_sensors([SensorSpec(0, "rgb", 3)])
+    return SensorRegistry([SensorSpec(0, "rgb", 3)])
 
 
 REGISTRY_PRESETS = {
@@ -332,7 +328,7 @@ def load_manifest(path):
     a DataFormatError."""
     try:
         named = load_tensors(path)
-        registry = register_sensors(SensorSpec(*row) for row in u8_to_json(named["sensors"]))
+        registry = SensorRegistry(SensorSpec(*row) for row in u8_to_json(named["sensors"]))
         width, height = (int(v) for v in named["size"])
         records = [SampleRecord(i, int(sid), None if pair < 0 else int(pair))
                    for i, (sid, pair) in enumerate(named["records"])]

@@ -177,11 +177,9 @@ class Tensor:
         return matmul(self, _wrap(other, self))
 
 
-def constant(value, like=None, dtype=None):
+def constant(value, like=None):
     """Wrap raw data as a non-differentiable tensor, matching `like`'s dtype."""
-    if dtype is None:
-        dtype = like.data.dtype if like is not None else None
-    return Tensor(value, requires_grad=False, dtype=dtype)
+    return Tensor(value, requires_grad=False, dtype=None if like is None else like.data.dtype)
 
 
 def _wrap(value, like):
@@ -343,30 +341,30 @@ def transpose(a, axes=None):
     return _record(out, (ra,), back)
 
 
-def _spread(g, shape, axis, keepdims):
+def _spread(g, shape, axis):
     """Broadcast a reduction's gradient back over the axes it reduced."""
-    if axis is not None and not keepdims:
+    if axis is not None:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape)
 
 
-def reduce_sum(a, axis=None, keepdims=False):
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+def reduce_sum(a, axis=None):
+    out = Tensor(a.data.sum(axis=axis))
     ra = a.rec
 
     def back(g):
-        _accumulate(ra, _spread(g, ra.shape, axis, keepdims))
+        _accumulate(ra, _spread(g, ra.shape, axis))
 
     return _record(out, (ra,), back)
 
 
-def reduce_mean(a, axis=None, keepdims=False):
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
+def reduce_mean(a, axis=None):
+    out = Tensor(a.data.mean(axis=axis))
     count = a.data.size // max(out.data.size, 1)
     ra = a.rec
 
     def back(g):
-        _accumulate(ra, _spread(g / count, ra.shape, axis, keepdims))
+        _accumulate(ra, _spread(g / count, ra.shape, axis))
 
     return _record(out, (ra,), back)
 
@@ -441,24 +439,26 @@ def _softmax_rows(s, axis=-1):
     return row_max, row_sum
 
 
-def softmax(a, axis=-1):
-    """Row-stable softmax; rejects NaN input."""
+def softmax(a):
+    """Row-stable softmax over the last axis; rejects NaN input."""
     y = a.data.copy()
-    _softmax_rows(y, axis)
+    _softmax_rows(y)
     ra = a.rec
 
     def back(g):
-        _accumulate(ra, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        _accumulate(ra, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return _record(Tensor(y), (ra,), back)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ShapeError(f"layer_norm eps must be positive, got {eps}")
+_LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x, gamma, beta):
+    """Normalize the last axis to zero mean / unit variance, then affine;
+    the variance gets `_LAYER_NORM_EPS` added before its square root."""
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + _LAYER_NORM_EPS) ** -0.5
     xhat = centered * inv
     gd = gamma.data
     out = Tensor(xhat * gd + beta.data)

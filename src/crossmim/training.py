@@ -32,6 +32,8 @@ STREAM_DATA = 1
 STREAM_MASK = 2
 STREAM_CROSS = 3
 STREAM_TASK = 4
+STREAM_EVAL = 5
+STREAM_RENDER = 6
 
 
 def stream_rng(seed, stream, *extra):
@@ -192,15 +194,14 @@ class Trainer:
     a diagnostic dump.  Each step logs step, epoch, lr, loss_total and the
     loss's stats."""
 
-    def __init__(self, dataset, model_cfg, train_cfg, log_path=None, dump_dir=None,
-                 dtype=np.float32):
+    def __init__(self, dataset, model_cfg, train_cfg, log_path=None, dump_dir=None):
         """Pretraining on every sensor of `dataset`."""
         self.dataset = dataset
         self.model_cfg = model_cfg
         sizes = {sid: len(recs) for sid, recs in dataset.by_sensor.items()}
         self.schedule = make_schedule(sizes, train_cfg.base_batch)
         seed = train_cfg.seed
-        state = TrainState(init_params(dataset.registry, model_cfg, seed, dtype=dtype),
+        state = TrainState(init_params(dataset.registry, model_cfg, seed),
                            mask_rng=stream_rng(seed, STREAM_MASK),
                            cross_rng=stream_rng(seed, STREAM_CROSS))
 
@@ -319,9 +320,7 @@ class Trainer:
                 "round_sensors": {str(k): len(val) for k, val in batch.items()}}
         if self.dump_dir:
             path = os.path.join(self.dump_dir, f"diagnostic-step{self.state.step}.json")
-            ckpt.write_atomic(path, json.dumps({"error": str(err),
-                                                "diagnostics": json_safe(diag)},
-                                               indent=2, allow_nan=False))
+            write_json(path, {"error": str(err), "diagnostics": diag})
             diag["dump_path"] = path
         return NumericError(str(err), diagnostics=diag)
 
@@ -393,10 +392,10 @@ def check_compatible(named, registry, model_cfg, params):
             )
 
 
-def load_pretrained(path, registry, model_cfg, dtype=np.float32):
+def load_pretrained(path, registry, model_cfg):
     """Parameters-only load for transfer, evaluation, and rendering."""
     named = ckpt.load_tensors(path)
-    params = init_params(registry, model_cfg, seed=0, dtype=dtype)
+    params = init_params(registry, model_cfg, seed=0)
     check_compatible(named, registry, model_cfg, params)
     for k, p in params.items():
         p.data = named[k].astype(p.data.dtype, copy=True)
@@ -425,3 +424,8 @@ def json_safe(obj):
     if isinstance(obj, np.ndarray):
         return json_safe(obj.tolist())
     return obj
+
+
+def write_json(path, obj):
+    """Write `json_safe(obj)` to `path` atomically as strict, indented JSON."""
+    ckpt.write_atomic(path, json.dumps(json_safe(obj), indent=2, allow_nan=False))

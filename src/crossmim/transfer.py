@@ -43,7 +43,6 @@ class TransferConfig:
     head: str = keyed("transfer.head")
     frozen_trunk: bool = keyed("transfer.frozen_trunk")
     num_classes: int = keyed("transfer.classes")
-    out_channels: int = 1
 
     def __post_init__(self):
         check_fields(self)
@@ -74,13 +73,12 @@ def head_output_width(model_cfg, tcfg):
     if tcfg.head == "multilabel":
         return tcfg.num_classes
     if tcfg.head == "dense_regression":
-        return p2 * tcfg.out_channels
+        return p2  # the 1-channel mean
     return p2 * tcfg.num_classes
 
 
-def init_transfer_params(pretrained, registry, model_cfg, tcfg, task_sensors, seed,
-                         dtype=np.float32):
-    """Build the fine-tuning parameter table.
+def init_transfer_params(pretrained, registry, model_cfg, tcfg, task_sensors, seed):
+    """Build the float32 fine-tuning parameter table.
 
     The positional table, the encoder and the task sensors' embedders are
     copied from `pretrained` (or freshly initialized when None, the
@@ -90,10 +88,10 @@ def init_transfer_params(pretrained, registry, model_cfg, tcfg, task_sensors, se
     token is left out.
     """
     if pretrained is None:
-        pretrained = init_params(registry, model_cfg, seed, dtype=dtype)
+        pretrained = init_params(registry, model_cfg, seed)
 
     def copy(arr):
-        return T.Tensor(arr.astype(dtype, copy=True), requires_grad=not tcfg.frozen_trunk)
+        return T.Tensor(arr.astype(np.float32, copy=True), requires_grad=not tcfg.frozen_trunk)
 
     trunk = ["shared.pos_embed"] + [k for k in pretrained if k.startswith("encoder.")]
     params = {k: copy(pretrained[k].data) for k in trunk}
@@ -108,16 +106,17 @@ def init_transfer_params(pretrained, registry, model_cfg, tcfg, task_sensors, se
     w_in = head_input_width(model_cfg, tcfg, len(task_sensors))
     w_out = head_output_width(model_cfg, tcfg)
     params["head.w"] = T.Tensor(
-        (INIT_STD * param_rng(seed, "head.w").standard_normal((w_in, w_out))).astype(dtype),
+        (INIT_STD * param_rng(seed, "head.w").standard_normal((w_in, w_out))).astype(np.float32),
         requires_grad=True)
-    params["head.b"] = T.Tensor(np.zeros(w_out, dtype=dtype), requires_grad=True)
+    params["head.b"] = T.Tensor(np.zeros(w_out, dtype=np.float32), requires_grad=True)
     return params
 
 
 def finetune_forward(params, model_cfg, tcfg, task_sensors, samples):
     """Head output for a sequence of B TaskSamples: (B, K) logits for
-    multilabel, or a dense (B, channels-or-classes, W, H) map for the dense
-    heads.  Each embedder's images run through the trunk as one batch."""
+    multilabel, or a dense (B, 1, W, H) regression or (B, K, W, H)
+    classification map.  Each embedder's images run through the trunk as
+    one batch."""
     for sid in task_sensors:
         if any(sid not in s.images for s in samples):
             raise ConfigError(f"sample is missing sensor {sid} required by the transfer mode")
@@ -133,7 +132,7 @@ def finetune_forward(params, model_cfg, tcfg, task_sensors, samples):
     if tcfg.head == "multilabel":
         return T.linear(T.reduce_mean(per_token, axis=1), params["head.w"], params["head.b"])
     dense = T.linear(per_token, params["head.w"], params["head.b"])
-    channels = tcfg.out_channels if tcfg.head == "dense_regression" else tcfg.num_classes
+    channels = 1 if tcfg.head == "dense_regression" else tcfg.num_classes
     return T.unpatchify(dense, model_cfg.patch_size, channels,
                         model_cfg.image_w, model_cfg.image_h)
 
@@ -154,20 +153,19 @@ def task_loss(params, model_cfg, tcfg, task_sensors, samples):
 # synthetic downstream tasks
 
 def _task_groups(dataset, task_sensors):
-    """Colocated sample groups covering every task sensor."""
-    anchor = task_sensors[0]
+    """Colocated sample groups covering every task sensor: each record of
+    the anchor (first) sensor, with its partner's image when the task names
+    a second sensor."""
+    anchor, *others = task_sensors
     groups = []
     for r in dataset.by_sensor[anchor]:
         images = {anchor: dataset.image(r.sample_id)}
-        ok = True
-        for sid in task_sensors[1:]:
+        if others:
             partner = dataset.partner_record(r)
-            if partner is not None and partner.sensor_id == sid:
-                images[sid] = dataset.image(partner.sample_id)
-            else:
-                ok = False
-        if ok:
-            groups.append(images)
+            if partner is None or others != [partner.sensor_id]:
+                continue
+            images[partner.sensor_id] = dataset.image(partner.sample_id)
+        groups.append(images)
     if not groups:
         raise ConfigError(
             f"no colocated samples cover task sensors {task_sensors}; "
@@ -176,48 +174,31 @@ def _task_groups(dataset, task_sensors):
     return groups
 
 
-def make_multilabel_task(dataset, task_sensors, num_classes):
-    """Binary labels from image statistics: label k asks whether vertical
-    strip k of one channel of the anchor image has positive mean."""
-    samples = []
-    for images in _task_groups(dataset, task_sensors):
-        img = images[task_sensors[0]]
+def _task_label(img, tcfg):
+    """The label of one (C, W, H) anchor image for `tcfg.head`."""
+    k = tcfg.num_classes
+    if tcfg.head == "multilabel":
+        # class j: does vertical strip j of channel j mod C have positive mean?
         c, w, _h = img.shape
-        label = np.zeros(num_classes, dtype=np.float32)
-        for k in range(num_classes):
-            lo = (k * w) // num_classes
-            hi = max(lo + 1, ((k + 1) * w) // num_classes)
-            label[k] = 1.0 if img[k % c, lo:hi, :].mean() > 0 else 0.0
-        samples.append(TaskSample(images=images, label=label))
-    return samples
-
-
-def make_dense_regression_task(dataset, task_sensors):
-    """Target: per-pixel mean over the anchor sensor's channels."""
-    samples = []
-    for images in _task_groups(dataset, task_sensors):
-        target = images[task_sensors[0]].mean(axis=0, keepdims=True).astype(np.float32)
-        samples.append(TaskSample(images=images, label=target))
-    return samples
-
-
-def make_dense_classification_task(dataset, task_sensors, num_classes):
-    """Target: the channel-mean image bucketed into per-image quantile bins."""
-    samples = []
-    for images in _task_groups(dataset, task_sensors):
-        field_img = images[task_sensors[0]].mean(axis=0)
-        qs = np.quantile(field_img, np.linspace(0, 1, num_classes + 1)[1:-1])
-        label = np.digitize(field_img, qs).astype(np.int64)
-        samples.append(TaskSample(images=images, label=label))
-    return samples
+        label = np.zeros(k, dtype=np.float32)
+        for j in range(k):
+            lo = (j * w) // k
+            hi = max(lo + 1, ((j + 1) * w) // k)
+            label[j] = 1.0 if img[j % c, lo:hi, :].mean() > 0 else 0.0
+        return label
+    if tcfg.head == "dense_regression":  # the per-pixel channel mean
+        return img.mean(axis=0, keepdims=True).astype(np.float32)
+    # that mean bucketed into per-image quantile bins
+    field_img = img.mean(axis=0)
+    qs = np.quantile(field_img, np.linspace(0, 1, k + 1)[1:-1])
+    return np.digitize(field_img, qs).astype(np.int64)
 
 
 def make_task(dataset, tcfg, task_sensors):
-    if tcfg.head == "multilabel":
-        return make_multilabel_task(dataset, task_sensors, tcfg.num_classes)
-    if tcfg.head == "dense_regression":
-        return make_dense_regression_task(dataset, task_sensors)
-    return make_dense_classification_task(dataset, task_sensors, tcfg.num_classes)
+    """One TaskSample per colocated group of the task sensors, labelled
+    from its anchor image by `tcfg.head`."""
+    return [TaskSample(images=images, label=_task_label(images[task_sensors[0]], tcfg))
+            for images in _task_groups(dataset, task_sensors)]
 
 
 def task_metrics(params, model_cfg, tcfg, task_sensors, samples):

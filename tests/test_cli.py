@@ -199,6 +199,7 @@ def test_finetune_outputs(ws, tmp_path):
     named = ckpt.load_tensors(str(out / "head.msgm"))
     assert "head.w" in named and "meta.transfer_config" in named
     meta = json.loads(bytes(named["meta.transfer_config"]).decode("utf-8"))
+    assert set(meta) == {"head", "mode", "num_classes", "task_sensors"}
     assert meta["head"] == "multilabel" and meta["task_sensors"] == [0, 1]
 
 

@@ -7,10 +7,10 @@ import pytest
 
 import crossmim.checkpoint as ckpt
 from crossmim.errors import ConfigError, DataFormatError, ShapeError
-from crossmim.sensors import (Dataset, SampleRecord, SensorSpec, desk_registry,
-                              gen_synthetic, load_manifest, pair_registry,
-                              pair_transform_weights, partner_transform,
-                              register_sensors, registry_preset,
+from crossmim.sensors import (Dataset, SampleRecord, SensorRegistry, SensorSpec,
+                              desk_registry, gen_synthetic, load_manifest,
+                              pair_registry, pair_transform_weights,
+                              partner_transform, registry_preset,
                               save_manifest, single_registry)
 
 
@@ -33,7 +33,7 @@ def test_sensor_spec_fills_default_stats():
 ])
 def test_registry_rejects_bad_specs(specs):
     with pytest.raises(ConfigError):
-        register_sensors(specs)
+        SensorRegistry(specs)
 
 
 def test_registry_lookup_and_partner():
@@ -77,7 +77,7 @@ def test_gen_synthetic_counts_and_shapes():
 
 
 def test_gen_synthetic_matches_declared_stats():
-    reg = register_sensors([
+    reg = SensorRegistry([
         SensorSpec(0, "a", 2, paired_with=1, norm_mean=(1.0, -2.0), norm_std=(0.5, 3.0)),
         SensorSpec(1, "b", 3, paired_with=0, norm_mean=(0.0, 0.0, 0.0), norm_std=(1.0, 1.0, 1.0)),
     ])

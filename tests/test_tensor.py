@@ -346,7 +346,6 @@ def test_grad_reductions(rng):
     a = rng.normal(size=(3, 4))
     check_op(lambda x: T.reduce_sum(x), a)
     check_op(lambda x: weighted(T.reduce_sum(x, axis=0)), a)
-    check_op(lambda x: weighted(T.reduce_sum(x, axis=1, keepdims=True)), a)
     check_op(lambda x: T.reduce_mean(x), a)
     check_op(lambda x: weighted(T.reduce_mean(x, axis=0)), a)
 
@@ -375,7 +374,7 @@ def test_grad_concat(rng):
 
 def test_grad_softmax_layer_norm(rng):
     a = rng.normal(size=(3, 5))
-    check_op(lambda x: weighted(T.softmax(x, axis=-1)), a)
+    check_op(lambda x: weighted(T.softmax(x)), a)
     g, b = rng.normal(size=5) + 1.0, rng.normal(size=5)
     check_op(lambda x, gg, bb: weighted(T.layer_norm(x, gg, bb)), a, g, b)
     check_op(lambda x, gg, bb: weighted(T.layer_norm(x, gg, bb)),
@@ -654,7 +653,7 @@ def test_fused_layer_shape_errors():
 
 
 def test_softmax_rows_sum_to_one_and_reject_nan(rng):
-    out = T.softmax(T.Tensor(rng.normal(size=(4, 6))), axis=-1)
+    out = T.softmax(T.Tensor(rng.normal(size=(4, 6))))
     np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), rtol=1e-6)
     bad = T.Tensor(np.array([[1.0, np.nan]]))
     with pytest.raises(NumericError):
@@ -662,7 +661,7 @@ def test_softmax_rows_sum_to_one_and_reject_nan(rng):
 
 
 def test_softmax_stable_for_huge_logits():
-    out = T.softmax(T.Tensor(np.array([[1e30, 1e30 - 1e14]])), axis=-1)
+    out = T.softmax(T.Tensor(np.array([[1e30, 1e30 - 1e14]])))
     assert np.all(np.isfinite(out.data))
 
 

@@ -16,10 +16,7 @@ from crossmim.training import stream_rng
 from crossmim.transfer import (TaskSample, TransferConfig,
                                cross_reconstruction_l1, finetune,
                                finetune_forward, head_input_width,
-                               head_output_width, init_transfer_params,
-                               make_dense_classification_task,
-                               make_dense_regression_task,
-                               make_multilabel_task, make_task,
+                               head_output_width, init_transfer_params, make_task,
                                reconstruction_report, task_loss, task_metrics)
 
 MCFG = ModelConfig(width=16, depth=1, heads=2, patch_size=4, image_w=16,
@@ -55,8 +52,8 @@ def test_head_widths():
     stack = TransferConfig(mode="channel_stack", head="multilabel")
     assert head_input_width(MCFG, stack, 2) == 16
     assert head_output_width(MCFG, concat) == 5
-    dense_r = TransferConfig(head="dense_regression", out_channels=3)
-    assert head_output_width(MCFG, dense_r) == 16 * 3
+    dense_r = TransferConfig(head="dense_regression")
+    assert head_output_width(MCFG, dense_r) == 16
     dense_c = TransferConfig(head="dense_classification", num_classes=4)
     assert head_output_width(MCFG, dense_c) == 16 * 4
 
@@ -157,8 +154,7 @@ def test_forward_shapes_per_mode_and_head():
                         num_classes=3), (0, 1), (3,)),
         (TransferConfig(mode="channel_stack", head="multilabel",
                         num_classes=6), (0, 1), (6,)),
-        (TransferConfig(head="dense_regression", out_channels=2), (0,),
-         (2, 16, 16)),
+        (TransferConfig(head="dense_regression"), (0,), (1, 16, 16)),
         (TransferConfig(head="dense_classification", num_classes=4), (0,),
          (4, 16, 16)),
     ]
@@ -190,7 +186,7 @@ def test_task_loss_multilabel_matches_manual_mean():
     tcfg = TransferConfig(head="multilabel", num_classes=4)
     params = init_transfer_params(pre, REG, MCFG, tcfg, (0,), seed=9)
     ds = dataset()
-    samples = make_multilabel_task(ds, (0,), 4)[:3]
+    samples = make_task(ds, tcfg, (0,))[:3]
     got = task_loss(params, MCFG, tcfg, (0,), samples)
     expect = np.mean([
         _bce(finetune_forward(params, MCFG, tcfg, (0,), [s]).data[0], s.label)
@@ -201,9 +197,9 @@ def test_task_loss_multilabel_matches_manual_mean():
 
 def test_task_loss_dense_regression_matches_manual():
     pre = pretrained_table()
-    tcfg = TransferConfig(head="dense_regression", out_channels=1)
+    tcfg = TransferConfig(head="dense_regression")
     params = init_transfer_params(pre, REG, MCFG, tcfg, (0,), seed=9)
-    samples = make_dense_regression_task(dataset(), (0,))[:2]
+    samples = make_task(dataset(), tcfg, (0,))[:2]
     got = task_loss(params, MCFG, tcfg, (0,), samples)
     expect = np.mean([
         np.abs(finetune_forward(params, MCFG, tcfg, (0,), [s]).data[0] - s.label).mean()
@@ -216,7 +212,7 @@ def test_task_loss_dense_classification_matches_manual():
     pre = pretrained_table()
     tcfg = TransferConfig(head="dense_classification", num_classes=3)
     params = init_transfer_params(pre, REG, MCFG, tcfg, (0,), seed=9)
-    samples = make_dense_classification_task(dataset(), (0,), 3)[:2]
+    samples = make_task(dataset(), tcfg, (0,))[:2]
     got = task_loss(params, MCFG, tcfg, (0,), samples)
     per = []
     for s in samples:
@@ -233,7 +229,7 @@ def test_task_loss_dense_classification_matches_manual():
 
 def test_multilabel_task_follows_strip_rule():
     ds = dataset()
-    samples = make_multilabel_task(ds, (0,), 4)
+    samples = make_task(ds, TransferConfig(head="multilabel", num_classes=4), (0,))
     assert len(samples) == len(ds.by_sensor[0])
     for s in samples:
         img = s.images[0]
@@ -246,11 +242,12 @@ def test_multilabel_task_follows_strip_rule():
 
 def test_dense_task_targets():
     ds = dataset()
-    reg_samples = make_dense_regression_task(ds, (0,))
+    reg_samples = make_task(ds, TransferConfig(head="dense_regression"), (0,))
     for s in reg_samples:
         np.testing.assert_allclose(
             s.label, s.images[0].mean(axis=0, keepdims=True), atol=1e-6)
-    cls_samples = make_dense_classification_task(ds, (0,), 4)
+    cls_samples = make_task(ds, TransferConfig(head="dense_classification", num_classes=4),
+                            (0,))
     for s in cls_samples:
         assert s.label.shape == (16, 16)
         assert s.label.dtype == np.int64
@@ -274,12 +271,12 @@ def test_task_groups_require_registered_pairing():
     # sensor 0 has no partner, so a two-sensor task cannot be assembled
     reg2 = pair_registry()
     ds2 = gen_synthetic(reg2, 3, 16, 16, seed=1)
-    unpaired = [s for s in make_multilabel_task(ds, (0,), 2)]
+    tcfg = TransferConfig(head="multilabel", num_classes=2)
+    unpaired = [s for s in make_task(ds, tcfg, (0,))]
     assert unpaired  # single-sensor task on unpaired data works
     with pytest.raises(ConfigError, match="colocated"):
-        make_multilabel_task(
-            gen_synthetic(single_registry(), 3, 16, 16, seed=1), (0, 1), 2)
-    assert make_multilabel_task(ds2, (0, 1), 2)
+        make_task(gen_synthetic(single_registry(), 3, 16, 16, seed=1), tcfg, (0, 1))
+    assert make_task(ds2, tcfg, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +284,7 @@ def test_task_groups_require_registered_pairing():
 
 def test_finetune_reduces_task_loss(tmp_path):
     ds = dataset(n=6)
-    tcfg = TransferConfig(head="dense_regression", out_channels=1)
+    tcfg = TransferConfig(head="dense_regression")
     samples = make_task(ds, tcfg, (0,))
     log = str(tmp_path / "task.log")
     params, losses = finetune(REG, MCFG, tcfg, (0,), samples,

@@ -6,6 +6,8 @@ read from the table under `encoder.block<k>.`: pre-norm blocks
 feed-forward of selected blocks is a gated bank of experts.  Each token is
 routed to its argmax expert, subject to a per-expert capacity; overflow
 tokens skip the expert entirely and ride the residual connection.
+Attention is two tape nodes: `attend`, which projects its own q, k and v,
+and the output `linear`.
 """
 
 import math
@@ -57,8 +59,8 @@ def expert_capacity(n_tokens, num_experts, capacity_factor):
 
 def attention(x, p, heads):
     """Multi-head self-attention over (B, L, width) sequences."""
-    q, k, v = (T.linear(x, p["w" + name], p["b" + name]) for name in "qkv")
-    return T.linear(T.attend(q, k, v, heads), p["wo"], p["bo"])
+    qkv = [p[name + part] for part in "qkv" for name in ("w", "b")]
+    return T.linear(T.attend(x, *qkv, heads), p["wo"], p["bo"])
 
 
 def _dispatch(assign, n_tokens, num_experts, capacity):

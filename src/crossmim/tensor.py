@@ -3,7 +3,8 @@
 Every differentiable operation is a primitive with a hand-written gradient,
 including the fused layers and the loss, one tape node each: `linear`,
 `softmax`, `layer_norm`, the GELU feed-forward `ffn`, the gated expert bank
-`moe_ffn`, multi-head attention `attend` and the masked L1 `masked_l1`.
+`moe_ffn`, multi-head self-attention `attend` with its q, k and v
+projections, and the masked L1 `masked_l1`.
 The GELU is the exact h * Phi(h); Phi comes from scipy's erf in float64 and
 from a NumPy normal tail in float32.  Their composite forms survive only as
 float64 oracles in the tests.  Only the patch reshapes compose primitives:
@@ -17,7 +18,9 @@ The tape never holds a `Tensor`.  Each tensor owns a small `GradRecord`
 (requires_grad, grad, shape, dtype); a node is (output record, backward
 closure), and each closure holds the records of its inputs plus exactly the
 arrays its gradient reads.  So an activation that no backward pass reads,
-such as a residual sum, is freed as soon as the forward code drops it.
+such as a residual sum, is freed as soon as the forward code drops it, and
+one that is cheap to recompute, such as attention's q, k and v, is
+recomputed by the backward pass instead of kept.
 
 Tensors default to float32; build parameters with ``dtype=np.float64`` when
 running gradient checks.
@@ -414,16 +417,19 @@ def linear(x, w, b):
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear needs (..., K), (K, N) and (N,) operands, got "
                          f"{tuple(x.shape)}, {tuple(w.shape)} and {tuple(b.shape)}")
-    xd, wd = x.data, w.data
-    out = Tensor(np.matmul(xd, wd) + b.data)
+    y = np.matmul(x.data, w.data)
+    y += b.data
+    xd, wd = _operands(x, w)
     rx, rw, rb = x.rec, w.rec, b.rec
 
     def back(g):
-        _accumulate(rx, np.matmul(g, wd.T))
-        _accumulate(rw, np.matmul(np.swapaxes(xd, -1, -2), g))
+        if wd is not None:
+            _accumulate(rx, np.matmul(g, wd.T))
+        if xd is not None:
+            _accumulate(rw, np.matmul(np.swapaxes(xd, -1, -2), g))
         _accumulate_rows(rb, g)
 
-    return _record(out, (rx, rw, rb), back)
+    return _record(Tensor(y), (rx, rw, rb), back)
 
 
 def _softmax_rows(s, axis=-1):
@@ -540,8 +546,12 @@ def _ffn_forward(x, w1, b1, w2, b2, grad=True):
     unless `grad`); the backward pass keeps only those two hidden-sized
     arrays.
     """
-    act, dact = _gelu(np.matmul(x, w1) + b1, grad)
-    return np.matmul(act, w2) + b2, act, dact
+    h = np.matmul(x, w1)
+    h += b1
+    act, dact = _gelu(h, grad)
+    y = np.matmul(act, w2)
+    y += b2
+    return y, act, dact
 
 
 def _ffn_backward(g, x, act, dact, w1, w2, recs):
@@ -609,75 +619,109 @@ def moe_ffn(rows, probs, groups, experts):
     return _record(Tensor(out), (rrows, rprobs) + sum(recs, ()), back)
 
 
-def attend(q, k, v, heads):
-    """Multi-head softmax(q_h @ k_h^T / sqrt(dh)) @ v_h over (B, L, D) q, k, v.
+def attend(x, wq, bq, wk, bk, wv, bv, heads):
+    """Multi-head self-attention softmax(q_h @ k_h^T / sqrt(dh)) @ v_h over a
+    (B, L, K) x, with q = x @ wq + bq, k = x @ wk + bk, v = x @ wv + bv, each
+    projection (K, D) and each bias (D,).
 
     Head h owns features [h * dh, (h + 1) * dh) of D; heads are split and
-    merged through strided views, with no per-head copies.  Scores are
-    formed keys-major, k_h @ q_h^T shaped (B, H, L_k, L_q), so the softmax
-    reduces down columns, vectorised across queries.  They are formed and
-    consumed one block of samples at a time in one reused buffer, sized by
-    `_ATTEND_BLOCK`, so a block's scores stay in cache and each sample's
-    arithmetic does not depend on B.  The node keeps q, k, v, the output
-    and each query's softmax max and sum, never the (B, H, L, L)
-    probabilities.  As in FlashAttention, the backward pass re-forms each
-    block's P^T from the max and sum with the forward's own operations, so
-    P keeps its bits, and takes dS = P * (dP - rowsum(dO * O)) without
-    FlashAttention's tiling.  It writes dq, dk and dv straight into
-    (B, L, D) arrays.
+    merged through strided views, with no per-head copies.  Work runs one
+    block of samples at a time, sized by `_ATTEND_BLOCK`, so a block's
+    scores stay in cache and each sample's arithmetic does not depend on B.
+    Each block projects its q, k and v into one reused (3, block, L, D)
+    buffer (`np.matmul`, then `+= bias`, as `linear` does) and forms its
+    scores keys-major, k_h @ q_h^T shaped (block, H, L_k, L_q), so the
+    softmax reduces down columns, vectorised across queries.
+
+    The node keeps x, the output and each query's softmax max and sum:
+    neither q, k, v nor the (B, H, L, L) probabilities.  The projections
+    are cheap GEMMs of x, so the backward pass re-projects each block with
+    the forward's own operations and, as in FlashAttention, re-forms its P^T
+    from the max and sum, so q, k, v and P keep their bits.  It takes
+    dS = P * (dP - rowsum(dO * O)) without FlashAttention's tiling, then
+    the block's dq, dk, dv, the per-sample partials of the six projection
+    parameters, and dx = (dv @ wv^T + dk @ wk^T) + dq @ wq^T, the order in
+    which three `linear` nodes' backward passes would add it up.
     """
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % heads:
-        raise ShapeError(f"attend needs equal (B, L, D) q, k, v with D divisible by "
-                         f"{heads} heads, got {tuple(q.shape)}, {tuple(k.shape)}, {tuple(v.shape)}")
-    b, n, d = q.shape
+    projections = ((wq, bq), (wk, bk), (wv, bv))
+    d = wq.shape[-1]
+    if x.ndim != 3 or d % heads or any(w.shape != (x.shape[-1], d) or bias.shape != (d,)
+                                       for w, bias in projections):
+        raise ShapeError(f"attend needs a (B, L, K) x, (K, D) projections and (D,) biases with "
+                         f"D divisible by {heads} heads, got "
+                         + ", ".join(str(tuple(t.shape)) for t in (x, wq, bq, wk, bk, wv, bv)))
+    xd = x.data
+    weights = [(w.data, bias.data) for w, bias in projections]
+    b, n, k_in = xd.shape
     scale = 1.0 / math.sqrt(d // heads)
-    dtype = q.data.dtype
-
-    def split(a):  # (B, L, D) -> (B, H, L, dh) view
-        return a.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    recs = (q.rec, k.rec, v.rec)
+    dtype = np.result_type(xd, *sum(weights, ()))
     step = max(1, _ATTEND_BLOCK // max(1, heads * n * n * dtype.itemsize))
     blocks = [slice(i, i + step) for i in range(0, b, step)]
     block_shape = (min(b, step), heads, n, n)
+    qkv_shape = (3, min(b, step), n, d)
 
-    def scores(blk, buf):  # a block's scaled S^T in buf: keys down, queries across
-        kb = kh[blk]
-        s = np.matmul(kb, np.swapaxes(qh[blk], -1, -2), out=buf[:len(kb)])
+    def split(a):  # (m, L, D) -> (m, H, L, dh) view
+        return a.reshape(len(a), n, heads, d // heads).transpose(0, 2, 1, 3)
+
+    def project(blk, qkv):  # a block's q, k, v, projected into the qkv buffer
+        xb = xd[blk]
+        for buf, (w, bias) in zip(qkv, weights):
+            np.matmul(xb, w, out=buf[:len(xb)])
+            buf[:len(xb)] += bias
+        return qkv[:, :len(xb)]
+
+    def scores(qh, kh, buf):  # a block's scaled S^T in buf: keys down, queries across
+        s = np.matmul(kh, np.swapaxes(qh, -1, -2), out=buf[:len(kh)])
         s *= scale
         return s
 
     row_max, row_sum = (np.empty((b, heads, 1, n), dtype=dtype) for _ in range(2))
     y = np.empty((b, n, d), dtype=dtype)
-    pt = np.empty(block_shape, dtype=dtype)
+    qkv, pt = np.empty(qkv_shape, dtype=dtype), np.empty(block_shape, dtype=dtype)
     for blk in blocks:
-        s = scores(blk, pt)
+        qh, kh, vh = map(split, project(blk, qkv))
+        s = scores(qh, kh, pt)
         row_max[blk], row_sum[blk] = _softmax_rows(s, axis=-2)
-        np.matmul(np.swapaxes(s, -1, -2), vh[blk], out=split(y)[blk])
-    rq, rk, rv = recs
+        np.matmul(np.swapaxes(s, -1, -2), vh, out=split(y)[blk])
+    rx = x.rec
+    recs = [(w.rec, bias.rec) for w, bias in projections]
+    (wqd, _), (wkd, _), (wvd, _) = weights
 
     def back(g):
         gh, oh = split(g), split(y)
-        gq, gk, gv = (np.empty((b, n, d), dtype=dtype) for _ in range(3))
+        qkv, dqkv = np.empty((2,) + qkv_shape, dtype=dtype)  # one block's q, k, v and their grads
         p_buf, ds_buf = np.empty((2,) + block_shape, dtype=dtype)  # one block's P^T and dS^T
+        gw = np.empty((3, b, k_in, d), dtype=dtype)  # per-sample partials of wq, wk, wv
+        gb = np.empty((3, b, d), dtype=dtype)  # and of bq, bk, bv
+        gx = np.empty(xd.shape, dtype=dtype)
         for blk in blocks:
-            p = scores(blk, p_buf)
+            qh, kh, vh = map(split, project(blk, qkv))
+            p = scores(qh, kh, p_buf)
             p -= row_max[blk]
             np.exp(p, out=p)
             p /= row_sum[blk]
-            ds = np.matmul(vh[blk], np.swapaxes(gh[blk], -1, -2), out=ds_buf[:len(p)])  # dP^T
+            ds = np.matmul(vh, np.swapaxes(gh[blk], -1, -2), out=ds_buf[:len(p)])  # dP^T
             ds -= (gh[blk] * oh[blk]).sum(axis=-1)[..., None, :]
             ds *= p
             ds *= scale
-            np.matmul(p, gh[blk], out=split(gv)[blk])
-            np.matmul(np.swapaxes(ds, -1, -2), kh[blk], out=split(gq)[blk])
-            np.matmul(ds, qh[blk], out=split(gk)[blk])
-        _accumulate(rv, gv)
-        _accumulate(rq, gq)
-        _accumulate(rk, gk)
+            dq, dk, dv = dqkv[:, :len(p)]
+            np.matmul(p, gh[blk], out=split(dv))
+            np.matmul(np.swapaxes(ds, -1, -2), kh, out=split(dq))
+            np.matmul(ds, qh, out=split(dk))
+            xt = np.swapaxes(xd[blk], -1, -2)
+            for j, dproj in enumerate((dq, dk, dv)):
+                np.matmul(xt, dproj, out=gw[j, blk])
+                gb[j, blk] = dproj.sum(axis=-2)
+            # v, then k, then q: the sum of three `linear` nodes' backward passes
+            np.matmul(dv, wvd.T, out=gx[blk])
+            gx[blk] += np.matmul(dk, wkd.T)
+            gx[blk] += np.matmul(dq, wqd.T)
+        _accumulate(rx, gx)
+        for (rw, rb), gwj, gbj in zip(recs, gw, gb):
+            _accumulate(rw, gwj)
+            _accumulate(rb, gbj)
 
-    return _record(Tensor(y), recs, back)
+    return _record(Tensor(y), (rx,) + sum(recs, ()), back)
 
 
 # ---------------------------------------------------------------------------

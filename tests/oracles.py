@@ -126,6 +126,20 @@ def attend_heads_composite(q, k, v, heads, g):
     return out, gq, gk, gv
 
 
+def attend_projected_composite(x, wq, bq, wk, bk, wv, bv, heads, g):
+    """Multi-head self-attention of x: q, k and v from three
+    `linear_composite` projections, then `attend_heads_composite`.  Returns
+    the output, then the gradients of x, wq, bq, wk, bk, wv and bv."""
+    projections = ((wq, bq), (wk, bk), (wv, bv))
+    out, *grads = attend_heads_composite(*(x @ w + b for w, b in projections), heads, g)
+    gx, params = np.zeros_like(x), []
+    for (w, b), gp in zip(projections, grads):
+        _, gxp, gw, gb = linear_composite(x, w, b, gp)
+        gx += gxp
+        params += [gw, gb]
+    return (out, gx, *params)
+
+
 def attend_kept_p(q, k, v, heads, g, block):
     """Multi-head attention as `T.attend` ran while it kept the
     probabilities: the same sample blocks of `block` bytes of scores and

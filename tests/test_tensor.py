@@ -162,6 +162,28 @@ def test_mul_keeps_an_operand_only_for_the_other_operands_gradient(rng):
     assert shares_any(held_arrays(tape), [x.data]) and shares_any(held_arrays(tape), [y.data])
 
 
+def test_linear_keeps_an_operand_only_for_the_other_operands_gradient(rng):
+    """As in `mul`, x is kept for w's gradient and w for x's, so a constant
+    x, such as `conv_patch`'s patch rows, keeps no w and gets no gradient."""
+    x = T.constant(rng.normal(size=(2, 3, 4)))
+    w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=5), requires_grad=True)
+    g = rng.normal(size=(2, 3, 5))
+    with T.fresh_tape() as tape:
+        out = T.linear(x, w, b)
+        kept = held_arrays(tape)
+        T.backward(T.reduce_sum(out * T.constant(g, like=out)))
+    assert shares_any(kept, [x.data]) and not shares_any(kept, [w.data])
+    assert x.grad is None
+    np.testing.assert_allclose(w.grad, np.einsum("blk,bln->kn", x.data, g), rtol=1e-12)
+    w_only = T.constant(w.data)
+    xt = T.Tensor(x.data, requires_grad=True)
+    with T.fresh_tape() as tape:
+        T.linear(xt, w_only, b)
+        kept = held_arrays(tape)
+    assert shares_any(kept, [w_only.data]) and not shares_any(kept, [xt.data])
+
+
 def test_backward_follows_reassigned_data():
     """Assigning `data`, as AdamW and checkpoint loads do, keeps the record
     in step: the gradient takes the new array's shape and dtype."""
@@ -381,12 +403,19 @@ def test_grad_softmax_layer_norm(rng):
              rng.normal(size=(2, 3, 5)), g, b)
 
 
+def attention_arrays(rng, b, n, k, d):
+    """x (b, n, k), then wq, bq, wk, bk, wv, bv for (k, d) projections."""
+    arrays = [rng.normal(size=(b, n, k))]
+    for _ in "qkv":
+        arrays += [rng.normal(size=(k, d)) * k ** -0.5, rng.normal(size=d) * 0.3]
+    return arrays
+
+
 def test_grad_linear_attend(rng):
     w, b = rng.normal(size=(4, 3)), rng.normal(size=3)
     check_op(lambda x, ww, bb: weighted(T.linear(x, ww, bb)), rng.normal(size=(5, 4)), w, b)
     check_op(lambda x, ww, bb: weighted(T.linear(x, ww, bb)), rng.normal(size=(2, 5, 4)), w, b)
-    q, k, v = (rng.normal(size=(2, 5, 6)) for _ in range(3))
-    check_op(lambda a, b, c: weighted(T.attend(a, b, c, 2)), q, k, v)
+    check_op(lambda *a: weighted(T.attend(*a, 2)), *attention_arrays(rng, 2, 5, 4, 6))
 
 
 EXPERT_KEYS = ("w1", "b1", "w2", "b2")
@@ -445,9 +474,18 @@ def fused_and_composite(name, rng):
         arrays, fused = moe_case(rng, groups)
         return arrays, fused, lambda rows, probs, *rest: oracles.moe_ffn_composite(
             rows, probs, groups, [rest[4 * e:4 * e + 4] for e in range(3)], rest[-1])
-    q, k, v = rng.normal(size=(2, 6, 8)) * 2.0, rng.normal(size=(2, 6, 8)), rng.normal(size=(2, 6, 8))
-    return ((q, k, v), lambda a, b, c: T.attend(a, b, c, 2),
-            lambda a, b, c, g: oracles.attend_heads_composite(a, b, c, 2, g))
+    x, wq, bq, wk, bk, wv, bv = attention_arrays(rng, 2, 6, 5, 8)
+    # q . bk adds the same term to every score of a softmax row, so bk's
+    # gradient is zero up to rounding; it enters as a constant here
+
+    def fused(x, wq, bq, wk, wv, bv):
+        return T.attend(x, wq, bq, wk, T.constant(bk, like=x), wv, bv, 2)
+
+    def composite(x, wq, bq, wk, wv, bv, g):
+        grads = oracles.attend_projected_composite(x, wq, bq, wk, bk, wv, bv, 2, g)
+        return grads[:5] + grads[6:]
+
+    return (x, wq, bq, wk, wv, bv), fused, composite
 
 
 @pytest.mark.parametrize("name", ["softmax", "layer_norm", "linear", "ffn", "moe_ffn", "attend"])
@@ -490,23 +528,30 @@ def test_batch_matches_single_sample_calls_bitwise_in_float32(name, rng):
 
 
 def test_attend_blocks_match_single_sample_calls_bitwise_in_float32(rng):
-    heads, n, d = 4, 128, 32
-    per_block = T._ATTEND_BLOCK // (heads * n * n * 4)
-    b = 2 * per_block + 1  # two full sample blocks and a partial third
-    q, k, v, g = (rng.normal(size=(b, n, d)).astype(np.float32) for _ in range(4))
+    """Two full sample blocks and a partial third give the bits of one call
+    per sample, in the output and in all seven gradients."""
+    heads, x, params, g = multi_block_attend_case(rng)
 
-    def run(*arrays):
-        leaves = [T.Tensor(a, requires_grad=True) for a in arrays[:3]]
+    def run(xs, gs):
+        """Outputs and x grads, stacked over the calls, then parameter grads."""
+        xs = [T.Tensor(a, requires_grad=True) for a in xs]
+        leaves = [T.Tensor(a, requires_grad=True) for a in params]
         with T.fresh_tape():
-            out = T.attend(*leaves, heads)
-            T.backward(T.reduce_sum(out * T.constant(arrays[3], like=out)))
-        return [out.data] + [leaf.grad for leaf in leaves]
+            outs = [T.attend(xi, *leaves, heads) for xi in xs]
+            terms = [T.reduce_sum(out * T.constant(gi, like=out)) for out, gi in zip(outs, gs)]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = loss + term
+            T.backward(loss)
+        return [np.concatenate([o.data for o in outs]), np.concatenate([xi.grad for xi in xs])] + \
+            [leaf.grad for leaf in leaves]
 
-    batched = run(q, k, v, g)
-    single = [run(*(a[i:i + 1] for a in (q, k, v, g))) for i in range(b)]
-    for j, got in enumerate(batched):
+    batched = run([x], [g])
+    single = run([x[i:i + 1] for i in range(len(x))], [g[i:i + 1] for i in range(len(x))])
+    assert len(batched) == 8
+    for got, want in zip(batched, single):
         assert got.dtype == np.float32
-        np.testing.assert_array_equal(got, np.concatenate([s[j] for s in single]))
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -537,16 +582,16 @@ def test_unrecorded_ffn_and_moe_ffn_never_ask_for_gelu_derivative(rng, monkeypat
 def test_unrecorded_attend_reuses_one_block_of_scores(rng):
     """Without a tape, attend keeps no (B, H, L, L) probabilities: it reuses
     one sample block's score buffer, and its output keeps the same bits."""
-    heads, n, d = 4, 128, 32
+    heads, x, params, _ = multi_block_attend_case(rng)
+    b, n = x.shape[:2]
     per_sample = heads * n * n * 4
-    b = 2 * (T._ATTEND_BLOCK // per_sample) + 1  # two full sample blocks and a partial third
-    q, k, v = (T.Tensor(rng.normal(size=(b, n, d)), requires_grad=True) for _ in range(3))
+    x, *params = (T.Tensor(a, requires_grad=True) for a in [x] + params)
     with T.fresh_tape():
-        recorded = T.attend(q, k, v, heads).data
+        recorded = T.attend(x, *params, heads).data
     tracemalloc.start()
     try:
         with T.no_grad():
-            unrecorded = T.attend(q, k, v, heads).data
+            unrecorded = T.attend(x, *params, heads).data
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -555,57 +600,76 @@ def test_unrecorded_attend_reuses_one_block_of_scores(rng):
 
 
 def test_attend_rejects_nan_scores(rng):
-    q = rng.normal(size=(1, 4, 6))
-    q[0, 2, 4] = np.nan  # one score row of head 1
+    x, *params = (T.Tensor(a) for a in attention_arrays(rng, 1, 4, 5, 6))
+    x.data[0, 2, 4] = np.nan  # one token's q, k and v
     with pytest.raises(NumericError, match="softmax received NaN input"):
-        T.attend(T.Tensor(q), T.Tensor(rng.normal(size=(1, 4, 6))),
-                 T.Tensor(rng.normal(size=(1, 4, 6))), 2)
+        T.attend(x, *params, 2)
 
 
 def test_recorded_attend_rejects_nan_scores(rng):
-    q = rng.normal(size=(1, 4, 6))
-    q[0, 2, 4] = np.nan
-    leaves = [T.Tensor(a, requires_grad=True) for a in (q, rng.normal(size=(1, 4, 6)),
-                                                        rng.normal(size=(1, 4, 6)))]
+    x, *params = (T.Tensor(a, requires_grad=True) for a in attention_arrays(rng, 1, 4, 5, 6))
+    x.data[0, 2, 4] = np.nan
     with T.fresh_tape() as tape:
         with pytest.raises(NumericError, match="softmax received NaN input"):
-            T.attend(*leaves, 2)
+            T.attend(x, *params, 2)
     assert len(tape) == 0
 
 
 def multi_block_attend_case(rng):
-    """(heads, q, k, v, g) in float32 for two full sample blocks of
-    attention scores plus a partial third."""
+    """(heads, x, [wq, bq, wk, bk, wv, bv], g) in float32 for two full
+    sample blocks of attention scores plus a partial third."""
     heads, n, d = 4, 128, 32
     b = 2 * (T._ATTEND_BLOCK // (heads * n * n * 4)) + 1
-    return (heads,) + tuple(rng.normal(size=(b, n, d)).astype(np.float32) for _ in range(4))
+    x, *params = (a.astype(np.float32) for a in attention_arrays(rng, b, n, d, d))
+    return heads, x, params, rng.normal(size=(b, n, d)).astype(np.float32)
 
 
 def test_recorded_attend_keeps_no_probabilities(rng):
-    """The node keeps q, k, v, the output and each query's softmax max and
-    sum; no (L, L) array of scores or probabilities stays on the tape."""
-    heads, q, k, v, _ = multi_block_attend_case(rng)
-    n = q.shape[1]
+    """The node keeps each query's softmax max and sum; no (L, L) array of
+    scores or probabilities stays on the tape."""
+    heads, x, params, _ = multi_block_attend_case(rng)
+    n = x.shape[1]
     with T.fresh_tape() as tape:
-        T.attend(*(T.Tensor(a, requires_grad=True) for a in (q, k, v)), heads)
+        T.attend(*(T.Tensor(a, requires_grad=True) for a in [x] + params), heads)
         shapes = [a.shape for a in held_arrays(tape)]
     assert len(tape) == 1
-    assert (len(q), heads, 1, n) in shapes
+    assert shapes.count((len(x), heads, 1, n)) == 2
     assert not [s for s in shapes if s[-2:] == (n, n)]
 
 
+def test_recorded_attend_keeps_no_projection(rng):
+    """Besides x and the output, the node keeps no (B, L, D)-sized array:
+    the backward pass re-projects q, k and v."""
+    heads, x, params, _ = multi_block_attend_case(rng)
+    x, *params = (T.Tensor(a, requires_grad=True) for a in [x] + params)
+    with T.fresh_tape() as tape:
+        out = T.attend(x, *params, heads)
+        kept = held_arrays(tape)
+    assert shares_any(kept, [x.data]) and shares_any(kept, [out.data])
+    assert [a.shape for a in kept if a.size >= x.size
+            and not shares_any([a], [x.data, out.data])] == []
+
+
 def test_attend_matches_kept_probability_attention_bitwise_in_float32(rng):
-    """Re-forming P in the backward pass from each query's max and sum gives
-    the bits of the attention that kept P, output and gradients alike."""
-    heads, q, k, v, g = multi_block_attend_case(rng)
-    leaves = [T.Tensor(a, requires_grad=True) for a in (q, k, v)]
+    """Re-projecting q, k and v and re-forming P in the backward pass give
+    the bits of three `linear` projections and the attention that kept P,
+    output and all seven gradients alike."""
+    heads, x, params, g = multi_block_attend_case(rng)
+    x, *params = leaves = [T.Tensor(a, requires_grad=True) for a in [x] + params]
     with T.fresh_tape():
-        out = T.attend(*leaves, heads)
+        out = T.attend(x, *params, heads)
         T.backward(T.reduce_sum(out * T.constant(g, like=out)))
-    expect = oracles.attend_kept_p(q, k, v, heads, g, T._ATTEND_BLOCK)
-    for got, want in zip([out.data] + [leaf.grad for leaf in leaves], expect):
-        assert got.dtype == np.float32
-        np.testing.assert_array_equal(got, want)
+    got = [out.data] + [leaf.grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.grad = None
+    with T.fresh_tape():
+        qkv = [T.linear(x, w, b) for w, b in zip(params[::2], params[1::2])]
+        y, *grads = oracles.attend_kept_p(*(t.data for t in qkv), heads, g, T._ATTEND_BLOCK)
+        terms = [T.reduce_sum(t * T.constant(gt, like=t)) for t, gt in zip(qkv, grads)]
+        T.backward(terms[0] + terms[1] + terms[2])
+    for a, want in zip(got, [y] + [leaf.grad for leaf in leaves]):
+        assert a.dtype == np.float32
+        np.testing.assert_array_equal(a, want)
 
 
 def sample_loop_sum(g):
@@ -646,10 +710,18 @@ def test_fused_layer_shape_errors():
     with pytest.raises(ShapeError, match="ffn"):
         T.ffn(x, T.Tensor(np.ones((3, 5))), T.Tensor(np.ones(5)),
               T.Tensor(np.ones((5, 4))), T.Tensor(np.ones(4)))
+    w, b = T.Tensor(np.ones((4, 6))), T.Tensor(np.ones(6))
+    T.attend(x, w, b, w, b, w, b, 2)
     with pytest.raises(ShapeError, match="attend"):
-        T.attend(x, x, x, 3)
+        T.attend(T.Tensor(np.ones((2, 3, 5))), w, b, w, b, w, b, 2)  # the projections take 4
     with pytest.raises(ShapeError, match="attend"):
-        T.attend(x, x, T.Tensor(np.ones((2, 4, 4))), 2)
+        T.attend(x, w, b, w, b, w, b, 4)  # 6 features do not split into 4 heads
+    with pytest.raises(ShapeError, match="attend"):
+        T.attend(x, w, b, T.Tensor(np.ones((4, 4))), T.Tensor(np.ones(4)), w, b, 2)
+    with pytest.raises(ShapeError, match="attend"):
+        T.attend(x, w, b, w, T.Tensor(np.ones(4)), w, b, 2)
+    with pytest.raises(ShapeError, match="attend"):
+        T.attend(T.Tensor(np.ones((3, 4))), w, b, w, b, w, b, 2)  # unbatched
 
 
 def test_softmax_rows_sum_to_one_and_reject_nan(rng):

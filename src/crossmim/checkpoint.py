@@ -138,6 +138,17 @@ def u8_to_bytes(arr):
     return np.asarray(arr, dtype=np.uint8).tobytes()
 
 
+def stream_rng(seed, stream, *extra):
+    """The generator of the key [seed, stream, *extra]; no other code seeds
+    one.  Keys: parameter init [seed, crc32(name)], synthetic data [seed,
+    source sensor], pair mixing [7041, source, partner], and the run streams
+    [seed, training.STREAM_*, ...].  SeedSequence pads a key with zeros, so
+    [s, 1, 0, 0] is [s, 1]: keys differing only in trailing zeros collide."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([int(seed), int(stream), *map(int, extra)]))
+    )
+
+
 def rng_to_u8(gen):
     """Serialize a numpy Generator's full bit-generator state."""
     return bytes_to_u8(json.dumps(gen.bit_generator.state).encode("utf-8"))

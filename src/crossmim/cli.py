@@ -60,19 +60,16 @@ def _write_produced(out_dir):
                       "\n".join(sorted(produced)) + "\n")
 
 
-def _manifest_path(data_arg):
-    return os.path.join(data_arg, "data.msgfm") if os.path.isdir(data_arg) else data_arg
-
-
-def _checkpoint_path(arg):
-    return os.path.join(arg, "checkpoint-final.msgm") if os.path.isdir(arg) else arg
+def _file_in(arg, name):
+    """`arg` itself, or the file `name` in it when `arg` is a directory."""
+    return os.path.join(arg, name) if os.path.isdir(arg) else arg
 
 
 def _read_data(run, data_arg, checkpoint=None):
     """(dataset, model config, pretrained parameters or None): the dataset at
     `data_arg`, the run's model config, which must match the dataset's image
     size, and the checkpoint at `checkpoint` when one is given."""
-    dataset = load_manifest(_manifest_path(data_arg))
+    dataset = load_manifest(_file_in(data_arg, "data.msgfm"))
     mcfg = run.model_config()
     if (dataset.width, dataset.height) != (mcfg.image_w, mcfg.image_h):
         raise ConfigError(
@@ -81,7 +78,8 @@ def _read_data(run, data_arg, checkpoint=None):
         )
     params = None
     if checkpoint:
-        params = load_pretrained(_checkpoint_path(checkpoint), dataset.registry, mcfg)
+        params = load_pretrained(_file_in(checkpoint, "checkpoint-final.msgm"),
+                                 dataset.registry, mcfg)
     return dataset, mcfg, params
 
 
@@ -157,7 +155,7 @@ def cmd_pretrain(args, run):
                       log_path=os.path.join(args.out, "metrics.jsonl"),
                       dump_dir=args.out)
     if args.resume:
-        trainer.resume(_checkpoint_path(args.resume))
+        trainer.resume(_file_in(args.resume, "checkpoint-final.msgm"))
         print(f"resumed at step {trainer.state.step}")
     try:
         last = trainer.train_epochs(checkpoint_dir=args.out)

@@ -21,6 +21,7 @@ import zlib
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import stream_rng
 from .decoders import choose_targets, reconstruction_loss, decode
 from .embedder import embed
 from .encoder import encode
@@ -31,12 +32,11 @@ INIT_STD = 0.02
 
 
 def param_rng(seed, name):
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([int(seed), zlib.crc32(name.encode("utf-8"))]))
-    )
+    return stream_rng(seed, zlib.crc32(name.encode("utf-8")))
 
 
-def _make(params, name, shape, seed, kind, dtype):
+def make_param(params, name, shape, seed, kind, dtype):
+    """Add trainable `name` to `params`: INIT_STD x its own normal stream, zeros or ones."""
     if kind == "normal":
         data = INIT_STD * param_rng(seed, name).standard_normal(shape)
     elif kind == "zeros":
@@ -55,38 +55,38 @@ def init_params(registry, cfg, seed, dtype=np.float32):
     p = cfg.patch_size
 
     for s in registry:
-        _make(params, f"embedder.{s.sensor_id}.kernel", (d, s.channels, p, p), seed, "normal", dtype)
-        _make(params, f"embedder.{s.sensor_id}.bias", (d,), seed, "zeros", dtype)
-    _make(params, "shared.mask_token", (d,), seed, "normal", dtype)
-    _make(params, "shared.pos_embed", (cfg.tokens, d), seed, "normal", dtype)
+        make_param(params, f"embedder.{s.sensor_id}.kernel", (d, s.channels, p, p), seed, "normal", dtype)
+        make_param(params, f"embedder.{s.sensor_id}.bias", (d,), seed, "zeros", dtype)
+    make_param(params, "shared.mask_token", (d,), seed, "normal", dtype)
+    make_param(params, "shared.pos_embed", (cfg.tokens, d), seed, "normal", dtype)
 
     hidden = cfg.ffn_mult * d
     for k in range(cfg.depth):
         b = f"encoder.block{k}."
-        _make(params, b + "ln1.gamma", (d,), seed, "ones", dtype)
-        _make(params, b + "ln1.beta", (d,), seed, "zeros", dtype)
+        make_param(params, b + "ln1.gamma", (d,), seed, "ones", dtype)
+        make_param(params, b + "ln1.beta", (d,), seed, "zeros", dtype)
         for w in ("wq", "wk", "wv", "wo"):
-            _make(params, b + f"attn.{w}", (d, d), seed, "normal", dtype)
+            make_param(params, b + f"attn.{w}", (d, d), seed, "normal", dtype)
         for bias in ("bq", "bk", "bv", "bo"):
-            _make(params, b + f"attn.{bias}", (d,), seed, "zeros", dtype)
-        _make(params, b + "ln2.gamma", (d,), seed, "ones", dtype)
-        _make(params, b + "ln2.beta", (d,), seed, "zeros", dtype)
+            make_param(params, b + f"attn.{bias}", (d,), seed, "zeros", dtype)
+        make_param(params, b + "ln2.gamma", (d,), seed, "ones", dtype)
+        make_param(params, b + "ln2.beta", (d,), seed, "zeros", dtype)
         if k in cfg.moe_block_indices:
-            _make(params, b + "gate.w", (d, cfg.num_experts), seed, "normal", dtype)
+            make_param(params, b + "gate.w", (d, cfg.num_experts), seed, "normal", dtype)
             for e in range(cfg.num_experts):
-                _make(params, b + f"expert{e}.w1", (d, hidden), seed, "normal", dtype)
-                _make(params, b + f"expert{e}.b1", (hidden,), seed, "zeros", dtype)
-                _make(params, b + f"expert{e}.w2", (hidden, d), seed, "normal", dtype)
-                _make(params, b + f"expert{e}.b2", (d,), seed, "zeros", dtype)
+                make_param(params, b + f"expert{e}.w1", (d, hidden), seed, "normal", dtype)
+                make_param(params, b + f"expert{e}.b1", (hidden,), seed, "zeros", dtype)
+                make_param(params, b + f"expert{e}.w2", (hidden, d), seed, "normal", dtype)
+                make_param(params, b + f"expert{e}.b2", (d,), seed, "zeros", dtype)
         else:
-            _make(params, b + "ffn.w1", (d, hidden), seed, "normal", dtype)
-            _make(params, b + "ffn.b1", (hidden,), seed, "zeros", dtype)
-            _make(params, b + "ffn.w2", (hidden, d), seed, "normal", dtype)
-            _make(params, b + "ffn.b2", (d,), seed, "zeros", dtype)
+            make_param(params, b + "ffn.w1", (d, hidden), seed, "normal", dtype)
+            make_param(params, b + "ffn.b1", (hidden,), seed, "zeros", dtype)
+            make_param(params, b + "ffn.w2", (hidden, d), seed, "normal", dtype)
+            make_param(params, b + "ffn.b2", (d,), seed, "zeros", dtype)
 
     for s in registry:
-        _make(params, f"decoder.{s.sensor_id}.proj", (p * p * s.channels, d), seed, "normal", dtype)
-        _make(params, f"decoder.{s.sensor_id}.bias", (p * p * s.channels,), seed, "zeros", dtype)
+        make_param(params, f"decoder.{s.sensor_id}.proj", (p * p * s.channels, d), seed, "normal", dtype)
+        make_param(params, f"decoder.{s.sensor_id}.bias", (p * p * s.channels,), seed, "zeros", dtype)
     return params
 
 
@@ -143,16 +143,14 @@ def round_loss(params, cfg, dataset, batch, mask_rng, cross_rng, p_cross=None):
                                    token_masks))
     if not targets:
         raise NumericError("round contained no samples")
-    tokens = token_batches[0] if len(token_batches) == 1 else T.concat(token_batches)
-    feats, aux, reports = encode(tokens, cfg, params)
+    feats, aux, reports = encode(T.concat(token_batches), cfg, params)
     order, losses = [], []  # sample rows stable-sorted by target sensor, L1 per group
     for target_sensor in sorted({t.target_sensor for t in targets}):
         rows = [i for i, t in enumerate(targets) if t.target_sensor == target_sensor]
-        group = feats if len(rows) == len(targets) else T.take_rows(feats, rows)
-        pred = decode(group, params, target_sensor, cfg)
+        pred = decode(T.take_rows(feats, rows), params, target_sensor, cfg)
         losses.append(reconstruction_loss(pred, [targets[i] for i in rows]))
         order += rows
-    l1 = losses[0] if len(losses) == 1 else T.concat(losses)
+    l1 = T.concat(losses)
     sources = np.array([t.source_sensor for t in targets])
     sensor_ids, sensor_of, counts = np.unique(sources, return_inverse=True, return_counts=True)
     weights = 1.0 / counts[sensor_of]

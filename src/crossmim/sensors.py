@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
-from .checkpoint import json_to_u8, load_tensors, save_tensors, u8_to_json
+from .checkpoint import json_to_u8, load_tensors, save_tensors, stream_rng, u8_to_json
 from .errors import CheckpointError, ConfigError, DataFormatError, ShapeError
 
 
@@ -242,8 +242,7 @@ def pair_transform_weights(registry, src_id):
     if spec.paired_with is None:
         raise ConfigError(f"sensor {spec.name!r} is unpaired")
     dst = registry[spec.paired_with]
-    seed = np.random.SeedSequence([7041, src_id, dst.sensor_id])
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = stream_rng(7041, src_id, dst.sensor_id)
     mix = rng.standard_normal((dst.channels, spec.channels)) / np.sqrt(spec.channels)
     bias = 0.1 * rng.standard_normal(dst.channels)
     return mix.astype(np.float64), bias.astype(np.float64)
@@ -289,7 +288,7 @@ def gen_synthetic(registry, n_per_sensor, width, height, seed):
     for spec in registry:
         if spec.paired_with is not None and spec.paired_with < spec.sensor_id:
             continue  # pair handled from its lower-id side
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, spec.sensor_id])))
+        rng = stream_rng(seed, spec.sensor_id)
         for _ in range(n_per_sensor[spec.sensor_id]):
             src = _to_declared_stats(_smooth_field(spec.channels, width, height, rng), spec)
             if spec.paired_with is None:

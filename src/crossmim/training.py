@@ -9,8 +9,11 @@ scales on sensor-owned modules (embedder and decoder), while shared trunk
 parameters use the base rate.  Fine-tuning (`transfer.finetune`) supplies
 the task loss, one sampler over the task samples and flat scales.
 
-All randomness flows through named streams seeded from the run seed, so a
-resumed run continues the exact trajectory of an uninterrupted one.
+All randomness flows through streams keyed by the run seed and a
+`STREAM_*` tag (`checkpoint.stream_rng`).  A trainer's state keeps its
+streams in one table by name, "mask" and "cross" in pretraining, and a
+checkpoint stores each as `rng.<name>`, so a resumed run continues the
+exact trajectory of an uninterrupted one.
 """
 
 import json
@@ -22,24 +25,19 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import tensor as T
+from .checkpoint import stream_rng
 from .config import check_fields, keyed
-from .errors import CompatibilityError, ConfigError, NumericError
+from .errors import CompatibilityError, ConfigError, DataFormatError, NumericError
 from .model import init_params, round_loss
 from .sensors import MultisensorBatch
 
-# stream tags keeping the independent RNG lanes apart
+# stream tags of the run's RNG lanes, the second entry of a `stream_rng` key
 STREAM_DATA = 1
 STREAM_MASK = 2
 STREAM_CROSS = 3
 STREAM_TASK = 4
 STREAM_EVAL = 5
 STREAM_RENDER = 6
-
-
-def stream_rng(seed, stream, *extra):
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([int(seed), int(stream), *map(int, extra)]))
-    )
 
 
 @dataclass(frozen=True)
@@ -177,13 +175,12 @@ class TrainState:
     """Everything but sampler positions that bit-exact resumption needs;
     moments exist for trainable parameters, RNGs only in pretraining."""
 
-    def __init__(self, params, mask_rng=None, cross_rng=None):
+    def __init__(self, params, rngs=None):
         self.params = params
         self.m = {k: np.zeros_like(p.data) for k, p in params.items() if p.requires_grad}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items() if p.requires_grad}
         self.step = 0
-        self.mask_rng = mask_rng
-        self.cross_rng = cross_rng
+        self.rngs = rngs or {}  # stream name -> generator, stored as rng.<name>
         self.history = []
 
 
@@ -202,13 +199,13 @@ class Trainer:
         self.schedule = make_schedule(sizes, train_cfg.base_batch)
         seed = train_cfg.seed
         state = TrainState(init_params(dataset.registry, model_cfg, seed),
-                           mask_rng=stream_rng(seed, STREAM_MASK),
-                           cross_rng=stream_rng(seed, STREAM_CROSS))
+                           {"mask": stream_rng(seed, STREAM_MASK),
+                            "cross": stream_rng(seed, STREAM_CROSS)})
 
         def loss(params, per_sensor):
             total, stats, reports = round_loss(
                 params, model_cfg, dataset, MultisensorBatch(per_sensor, state.step),
-                state.mask_rng, state.cross_rng)
+                state.rngs["mask"], state.rngs["cross"])
             sensors = {str(k): val for k, val in stats["sensors"].items()}
             return total, {**stats, "sensors": sensors, "routing": _routing_summary(reports)}
 
@@ -253,7 +250,8 @@ class Trainer:
             self._log_file = open(self.log_path, self._log_mode, encoding="utf-8")
             self._log_mode = "a"
         if record is not None:
-            self._log_file.write(json.dumps(record, sort_keys=True) + "\n")
+            self._log_file.write(json.dumps(json_safe(record), sort_keys=True, allow_nan=False)
+                                 + "\n")
             self._log_file.flush()
 
     def close(self):
@@ -334,8 +332,7 @@ class Trainer:
         named["meta.step"] = np.asarray(self.state.step, dtype=np.int64)
         named["meta.registry"] = ckpt.registry_digest(self.dataset.registry)
         named["meta.model_config"] = ckpt.json_to_u8(self.model_cfg.to_dict())
-        named["rng.mask"] = ckpt.rng_to_u8(self.state.mask_rng)
-        named["rng.cross"] = ckpt.rng_to_u8(self.state.cross_rng)
+        named.update({f"rng.{k}": ckpt.rng_to_u8(gen) for k, gen in self.state.rngs.items()})
         sids = sorted(self.samplers)
         named["sampler.sensor_ids"] = np.asarray(sids, dtype=np.int64)
         named["sampler.cycle"] = np.asarray([self.samplers[s].cycle for s in sids], dtype=np.int64)
@@ -352,8 +349,7 @@ class Trainer:
             self.state.m[k] = named[f"opt.m.{k}"].astype(p.data.dtype, copy=True)
             self.state.v[k] = named[f"opt.v.{k}"].astype(p.data.dtype, copy=True)
         self.state.step = int(named["meta.step"])
-        self.state.mask_rng = ckpt.rng_from_u8(named["rng.mask"])
-        self.state.cross_rng = ckpt.rng_from_u8(named["rng.cross"])
+        self.state.rngs = {k: ckpt.rng_from_u8(named[f"rng.{k}"]) for k in self.state.rngs}
         sids = [int(v) for v in named["sampler.sensor_ids"]]
         for i, sid in enumerate(sids):
             if sid not in self.samplers:
@@ -365,10 +361,10 @@ class Trainer:
         self._log_mode = "a"
         if self.log_path is not None and os.path.exists(self.log_path):
             self.close()
-            with open(self.log_path, encoding="utf-8") as f:
-                kept = [line for line in f
-                        if line.endswith("\n") and json.loads(line)["step"] < self.state.step]
-            ckpt.write_atomic(self.log_path, "".join(kept))
+            with open(self.log_path, "rb") as f:
+                kept = [line for n, line in enumerate(f, 1) if line.endswith(b"\n")
+                        and _logged_step(line, f"{self.log_path}:{n}") < self.state.step]
+            ckpt.write_atomic(self.log_path, b"".join(kept))
 
 
 def check_compatible(named, registry, model_cfg, params):
@@ -400,6 +396,17 @@ def load_pretrained(path, registry, model_cfg):
     for k, p in params.items():
         p.data = named[k].astype(p.data.dtype, copy=True)
     return params
+
+
+def _logged_step(line, where):
+    """The integer step of the step-log line `line`, read at `where`."""
+    try:
+        step = json.loads(line)["step"]
+    except (ValueError, TypeError, KeyError):
+        step = None
+    if type(step) is not int:
+        raise DataFormatError(f'{where}: expected a JSON object with an integer "step"')
+    return step
 
 
 def _routing_summary(reports):

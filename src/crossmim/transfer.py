@@ -30,7 +30,7 @@ from .encoder import encode
 from .errors import ConfigError
 from .masking import draw_mask, to_pixel_mask, to_token_mask
 from .metrics import mae, map_score, mean_iou, psnr, sam_degrees, ssim
-from .model import INIT_STD, init_params, param_rng, reconstruct_sample
+from .model import init_params, make_param, reconstruct_sample
 from .training import STREAM_TASK, SensorSampler, TrainConfig, Trainer
 
 MODES = ("shared_encoder_concat", "channel_stack")
@@ -105,10 +105,8 @@ def init_transfer_params(pretrained, registry, model_cfg, tcfg, task_sensors, se
 
     w_in = head_input_width(model_cfg, tcfg, len(task_sensors))
     w_out = head_output_width(model_cfg, tcfg)
-    params["head.w"] = T.Tensor(
-        (INIT_STD * param_rng(seed, "head.w").standard_normal((w_in, w_out))).astype(np.float32),
-        requires_grad=True)
-    params["head.b"] = T.Tensor(np.zeros(w_out, dtype=np.float32), requires_grad=True)
+    make_param(params, "head.w", (w_in, w_out), seed, "normal", np.float32)
+    make_param(params, "head.b", (w_out,), seed, "zeros", np.float32)
     return params
 
 
@@ -127,7 +125,7 @@ def finetune_forward(params, model_cfg, tcfg, task_sensors, samples):
                                        for s in samples])]
     feats = [encode(embed(T.constant(np.stack(images), like=params["head.w"]), params, prefix),
                     model_cfg, params)[0] for prefix, images in inputs]
-    per_token = feats[0] if len(feats) == 1 else T.concat(feats, axis=-1)  # (B, L, width)
+    per_token = T.concat(feats, axis=-1)  # (B, L, width)
 
     if tcfg.head == "multilabel":
         return T.linear(T.reduce_mean(per_token, axis=1), params["head.w"], params["head.b"])

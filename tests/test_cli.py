@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import crossmim.checkpoint as ckpt
+import crossmim.cli as cli
 from crossmim.cli import _parse_grid, format_table, main
 from crossmim.config import parse_config_text
 from crossmim.errors import ConfigError
@@ -118,6 +119,18 @@ def test_resumed_log_equals_uninterrupted_log(ws, tmp_path):
     assert logged == (solo / "metrics.jsonl").read_text()
 
 
+@pytest.mark.parametrize("line", [b"not json", b'{"epoch": 0}', b"\xff\xfe"])
+def test_resume_rejects_a_corrupt_log_line(ws, tmp_path, capsys, line):
+    log = tmp_path / "metrics.jsonl"
+    corrupt = b'{"step": 0}\n' + line + b"\n"
+    log.write_bytes(corrupt)
+    assert main(["pretrain", "--config", ws["cfg"], "--data", ws["data"],
+                 "--out", str(tmp_path), "--resume", ws["pre"]]) == 3
+    err = capsys.readouterr().err
+    assert f"{log}:2" in err and "integer" in err
+    assert log.read_bytes() == corrupt
+
+
 def test_pretrain_rerun_replaces_log(ws, tmp_path):
     args = ["pretrain", "--config", ws["cfg"], "--data", ws["data"], "--out", str(tmp_path)]
     assert main(args) == 0
@@ -137,6 +150,15 @@ def test_finetune_rerun_replaces_log(ws, tmp_path):
     assert main(args) == 0
     logged = (tmp_path / "finetune-log.jsonl").read_text()
     assert [json.loads(line)["step"] for line in logged.splitlines()] == [0, 1, 2]
+
+
+def test_evaluation_and_render_stream_keys(ws, tmp_path, monkeypatch):
+    keys = []
+    monkeypatch.setattr(cli, "stream_rng", lambda *key: keys.append(key) or ckpt.stream_rng(*key))
+    for command in ("evaluate", "reconstruct"):
+        assert main([command, "--config", ws["cfg"], "--data", ws["data"],
+                     "--checkpoint", ws["pre"], "--out", str(tmp_path)]) == 0
+    assert keys == [(3, cli.STREAM_EVAL), (3, cli.STREAM_EVAL, 1), (3, cli.STREAM_RENDER)]
 
 
 def test_evaluate_outputs(ws, tmp_path):

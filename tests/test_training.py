@@ -2,12 +2,16 @@
 
 import json
 import os
+import re
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import crossmim.checkpoint as ckpt
+import crossmim.model as model
+import crossmim.sensors as sensors
 import crossmim.tensor as T
 import crossmim.training as training
 from crossmim.config import ModelConfig
@@ -19,6 +23,7 @@ from crossmim.training import (STREAM_CROSS, STREAM_DATA, STREAM_MASK,
                                STREAM_TASK, SensorSampler, TrainConfig, Trainer,
                                adamw_step, json_safe, load_pretrained, lr_at,
                                make_schedule, owner_sensor, stream_rng)
+from crossmim.transfer import TransferConfig, finetune, make_task
 
 import oracles
 
@@ -49,6 +54,44 @@ def test_stream_rng_deterministic_and_independent():
     e = stream_rng(5, STREAM_DATA, 0, 1).random(4)
     f = stream_rng(5, STREAM_DATA, 1, 0).random(4)
     assert not np.array_equal(e, f)
+
+
+def test_stream_keys_of_every_caller(monkeypatch):
+    """The key each caller gives `stream_rng`.  Keys that differ only in
+    trailing zeros are one stream, so sensor 1's data is STREAM_DATA's key
+    for sensor 0, cycle 0, and sensor 3's data is STREAM_CROSS: a new key
+    scheme has to change this test on purpose."""
+    calls = {}
+
+    def spy(log):
+        return lambda *key: log.append(key) or ckpt.stream_rng(*key)
+
+    for mod in (model, sensors, training):
+        monkeypatch.setattr(mod, "stream_rng", spy(calls.setdefault(mod.__name__, [])))
+    model.param_rng(4, "head.w")
+    assert calls["crossmim.model"] == [(4, zlib.crc32(b"head.w"))]
+    gen_synthetic(desk_registry(), 2, 8, 8, seed=5)
+    assert calls["crossmim.sensors"] == [(5, 0), (5, 1), (7041, 1, 2), (7041, 1, 2),
+                                         (5, 3), (7041, 3, 4), (7041, 3, 4)]
+    assert (ckpt.stream_rng(5, STREAM_DATA, 0, 0).bit_generator.state
+            == ckpt.stream_rng(5, 1).bit_generator.state)
+    make_trainer().train_step()
+    assert calls["crossmim.training"] == [(3, STREAM_MASK), (3, STREAM_CROSS),
+                                          (3, STREAM_DATA, 0, 0), (3, STREAM_DATA, 1, 0)]
+    calls["crossmim.training"].clear()
+    ds = gen_synthetic(pair_registry(), 3, 16, 16, seed=7)
+    tcfg = TransferConfig(head="multilabel", num_classes=2)
+    finetune(ds.registry, MCFG, tcfg, (0, 1), make_task(ds, tcfg, (0, 1)), None,
+             steps=2, lr=1e-3, batch_size=2, seed=9)
+    assert calls["crossmim.training"] == [(9, STREAM_TASK, 0, 0), (9, STREAM_TASK, 0, 0),
+                                          (9, STREAM_TASK, 0, 1)]
+
+
+def test_only_checkpoint_builds_seeded_generators():
+    src = os.path.dirname(ckpt.__file__)
+    seeding = [name for name in sorted(os.listdir(src)) if name.endswith(".py") and
+                re.search(r"SeedSequence\(|PCG64\(", open(os.path.join(src, name)).read())]
+    assert seeding == ["checkpoint.py"]
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +439,26 @@ def test_json_safe_spells_non_finite_values_as_strict_json():
     assert json.loads(text) == {"1": ["inf", "-inf", "nan", "-inf"],
                                 "scalars": [1.5, "nan", 3, 0.25],
                                 "array": [1.0, "-inf", "inf", "nan"]}
+
+
+def test_step_log_is_strict_json(tmp_path):
+    log = tmp_path / "steps.jsonl"
+    w = T.Tensor(np.ones(2), requires_grad=True)
+
+    def stub_loss(params, batch):
+        return T.reduce_sum(params["w"]), {"scale": np.float32(0.5), "ratio": np.inf}
+
+    tr = Trainer.for_loss(stub_loss, {"task": SensorSampler([1, 2], 1, 0, 0)}, {},
+                          TrainConfig(warmup_epochs=0, log_every=1), {"w": w},
+                          steps_per_epoch=2, log_path=str(log))
+    tr.train_step()
+    tr.close()
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    record = json.loads(log.read_text(), parse_constant=reject)
+    assert record["scale"] == 0.5 and record["ratio"] == "inf"
 
 
 def test_step_checks_any_loss_is_finite(tmp_path):

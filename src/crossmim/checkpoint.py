@@ -138,15 +138,25 @@ def u8_to_bytes(arr):
     return np.asarray(arr, dtype=np.uint8).tobytes()
 
 
+# stream tags, the first entry of a `stream_rng` spawn key: one per kind of draw
+STREAM_DATA = 1  # pretraining data order: sensor id, cycle
+STREAM_MASK = 2
+STREAM_CROSS = 3
+STREAM_TASK = 4  # fine-tuning task order: 0, cycle
+STREAM_EVAL = 5  # self; cross with the entry 1
+STREAM_RENDER = 6
+STREAM_PARAM = 7  # parameter init: crc32 of the name
+STREAM_SYNTH = 8  # synthetic data: source sensor id
+STREAM_PAIR = 9  # pair channel mix, under seed 7041: source id, partner id
+
+
 def stream_rng(seed, stream, *extra):
-    """The generator of the key [seed, stream, *extra]; no other code seeds
-    one.  Keys: parameter init [seed, crc32(name)], synthetic data [seed,
-    source sensor], pair mixing [7041, source, partner], and the run streams
-    [seed, training.STREAM_*, ...].  SeedSequence pads a key with zeros, so
-    [s, 1, 0, 0] is [s, 1]: keys differing only in trailing zeros collide."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([int(seed), int(stream), *map(int, extra)]))
-    )
+    """The generator of `seed`'s stream `stream` (a STREAM_* tag) at `extra`;
+    no other code seeds one.  The tag and entries form the SeedSequence spawn
+    key, mixed in after the zero-padded seed, so (1,) and (1, 0) are two
+    streams while seeds stay below 2**128 and entries below 2**32."""
+    key = (int(stream), *map(int, extra))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=key)))
 
 
 def rng_to_u8(gen):

@@ -111,6 +111,18 @@ def psnr(a, b, max_val):
     return float(10.0 * math.log10(max_val * max_val / mse))
 
 
+def gaussian_band(n, sigma, radius):
+    """(n, n) matrix whose row i applies the normalised Gaussian of `sigma`,
+    cut at `radius`, around pixel i of an axis, with SciPy's `reflect` edges
+    (d c b a | a b c d | d c b a) folded in, so any radius works."""
+    coords = np.arange(-radius, radius + 1, dtype=np.float64)
+    g = np.exp(-(coords ** 2) / (2.0 * sigma * sigma))
+    cols = (np.arange(n)[:, None] + coords.astype(np.intp)) % (2 * n)
+    band = np.zeros((n, n))
+    np.add.at(band, (np.arange(n)[:, None], np.minimum(cols, 2 * n - 1 - cols)), g / g.sum())
+    return band
+
+
 def ssim(a, b, max_val=1.0):
     """Mean structural similarity over valid Gaussian windows and channels.
 
@@ -126,26 +138,15 @@ def ssim(a, b, max_val=1.0):
     if a.ndim != 3:
         raise ShapeError(f"ssim expects (W,H) or (C,W,H), got {a.shape}")
     _, w, h = a.shape
-    k = min(_SSIM_WINDOW, w, h)
-    if k % 2 == 0:
-        k -= 1
-    if k < 1:
+    r = (min(_SSIM_WINDOW, w, h) - 1) // 2  # radius of the largest odd window that fits
+    if r < 0:
         raise ShapeError(f"image {w}x{h} too small for any ssim window")
-    coords = np.arange(k, dtype=np.float64) - (k - 1) / 2.0
-    g = np.exp(-(coords ** 2) / (2.0 * _SSIM_SIGMA * _SSIM_SIGMA))
-    g /= g.sum()  # the 2-D window is outer(g, g)
+    # a band's interior rows take the window at every valid offset
+    band_w, band_h = (gaussian_band(n, _SSIM_SIGMA, r)[r:n - r] for n in (w, h))
     c1 = (0.01 * max_val) ** 2
     c2 = (0.03 * max_val) ** 2
-
-    def band(n):
-        """(n - k + 1, n) rows applying g at every valid offset of an axis."""
-        rows = np.arange(n - k + 1)[:, None]
-        m = np.zeros((n - k + 1, n))
-        m[rows, rows + np.arange(k)] = g
-        return m
-
     stack = np.stack([a, b, a * a, b * b, a * b])  # (5, C, W, H)
-    mu_a, mu_b, ea, eb, eab = band(w) @ stack @ band(h).T  # filter along W, then H
+    mu_a, mu_b, ea, eb, eab = band_w @ stack @ band_h.T  # filter along W, then H
     var_a = ea - mu_a * mu_a
     var_b = eb - mu_b * mu_b
     cov = eab - mu_a * mu_b

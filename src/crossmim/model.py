@@ -21,7 +21,7 @@ import zlib
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import stream_rng
+from .checkpoint import STREAM_PARAM, stream_rng
 from .decoders import choose_targets, reconstruction_loss, decode
 from .embedder import embed
 from .encoder import encode
@@ -32,7 +32,7 @@ INIT_STD = 0.02
 
 
 def param_rng(seed, name):
-    return stream_rng(seed, zlib.crc32(name.encode("utf-8")))
+    return stream_rng(seed, STREAM_PARAM, zlib.crc32(name.encode("utf-8")))
 
 
 def make_param(params, name, shape, seed, kind, dtype):

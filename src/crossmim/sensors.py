@@ -11,10 +11,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
-from .checkpoint import json_to_u8, load_tensors, save_tensors, stream_rng, u8_to_json
+from .checkpoint import (STREAM_PAIR, STREAM_SYNTH, json_to_u8, load_tensors, save_tensors,
+                         stream_rng, u8_to_json)
 from .errors import CheckpointError, ConfigError, DataFormatError, ShapeError
+from .metrics import gaussian_band
 
 
 @dataclass(frozen=True)
@@ -211,14 +212,13 @@ class Dataset:
         return self.records[record.partner_sample_id]
 
 
-def _smooth_field(channels, w, h, rng):
-    # white noise blurred to ~1/8 image scale, plus one broader field shared
-    # across channels so they stay correlated and worth modeling jointly
-    sigma = max(min(w, h) / 8.0, 1.0)
-    noise = ndimage.gaussian_filter(
-        rng.standard_normal((channels, w, h)), sigma=(0, sigma, sigma)
-    )
-    common = ndimage.gaussian_filter(rng.standard_normal((w, h)), sigma=2.0 * sigma)
+def _smooth_field(channels, bands, rng):
+    """White noise blurred to ~1/8 image scale, plus one broader field shared
+    across channels so they stay correlated and worth modeling jointly; each
+    blur is band_w @ x @ band_h.T, a (W, H) `gaussian_band` pair of `bands`."""
+    (fine_w, fine_h), (broad_w, broad_h) = bands
+    noise = fine_w @ rng.standard_normal((channels, len(fine_w), len(fine_h))) @ fine_h.T
+    common = broad_w @ rng.standard_normal((len(fine_w), len(fine_h))) @ broad_h.T
     return noise + 0.5 * common[None, :, :]
 
 
@@ -242,7 +242,7 @@ def pair_transform_weights(registry, src_id):
     if spec.paired_with is None:
         raise ConfigError(f"sensor {spec.name!r} is unpaired")
     dst = registry[spec.paired_with]
-    rng = stream_rng(7041, src_id, dst.sensor_id)
+    rng = stream_rng(7041, STREAM_PAIR, src_id, dst.sensor_id)
     mix = rng.standard_normal((dst.channels, spec.channels)) / np.sqrt(spec.channels)
     bias = 0.1 * rng.standard_normal(dst.channels)
     return mix.astype(np.float64), bias.astype(np.float64)
@@ -278,6 +278,9 @@ def gen_synthetic(registry, n_per_sensor, width, height, seed):
         if s.paired_with is not None and n_per_sensor[s.paired_with] != n:
             raise ConfigError("paired sensors need equal sample counts")
 
+    sigma = max(min(width, height) / 8.0, 1.0)  # radius: SciPy's default 4 sigma
+    bands = [[gaussian_band(n, s, int(4.0 * s + 0.5)) for n in (width, height)]
+             for s in (sigma, 2.0 * sigma)]
     records, images = [], []
 
     def add(sensor_id, img, partner=None):
@@ -288,9 +291,9 @@ def gen_synthetic(registry, n_per_sensor, width, height, seed):
     for spec in registry:
         if spec.paired_with is not None and spec.paired_with < spec.sensor_id:
             continue  # pair handled from its lower-id side
-        rng = stream_rng(seed, spec.sensor_id)
+        rng = stream_rng(seed, STREAM_SYNTH, spec.sensor_id)
         for _ in range(n_per_sensor[spec.sensor_id]):
-            src = _to_declared_stats(_smooth_field(spec.channels, width, height, rng), spec)
+            src = _to_declared_stats(_smooth_field(spec.channels, bands, rng), spec)
             if spec.paired_with is None:
                 add(spec.sensor_id, src)
             else:

@@ -5,11 +5,11 @@ including the fused layers and the loss, one tape node each: `linear`,
 `softmax`, `layer_norm`, the GELU feed-forward `ffn`, the gated expert bank
 `moe_ffn`, multi-head self-attention `attend` with its q, k and v
 projections, and the masked L1 `masked_l1`.
-The GELU is the exact h * Phi(h); Phi comes from scipy's erf in float64 and
-from a NumPy normal tail in float32.  Their composite forms survive only as
-float64 oracles in the tests.  Only the patch reshapes compose primitives:
-`conv_patch` is one `linear` over `patchify`'s rows, and `l1_loss` takes
-the whole array as one sample of `masked_l1`.
+The GELU is the exact h * Phi(h); Phi comes from a NumPy normal tail in
+float32 and from SciPy's erf, imported on first use, in float64.  Composite
+forms survive only as float64 oracles in the tests.  Only the patch
+reshapes compose primitives: `conv_patch` is one `linear` over `patchify`'s
+rows, and `l1_loss` takes the whole array as one sample of `masked_l1`.
 Operations are recorded on a tape in execution order; ``backward`` walks
 the tape in exact reverse order, so recording order doubles as the
 topological order.  There is no other global state.
@@ -30,7 +30,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import NumericError, ShapeError
 
@@ -499,12 +498,14 @@ def _gelu(h, grad=True):
     """(gelu(h), gelu'(h)) = (h Phi(h), Phi(h) + h phi(h)), exact GELU;
     gelu'(h) is None unless `grad`.
 
-    Float64 takes Phi from scipy's erf.  Float32 takes it from the A&S tail
-    above, within 5e-7 (4.2 ulp of 1.0) of float64 for both values, and
-    shares one exp(-h^2 / 2) between Phi and phi; it overwrites h with
-    gelu(h), so h must be a fresh C-contiguous array.
+    Float64 takes Phi from SciPy's erf, as the tests' oracles do.  Float32
+    takes it from the A&S tail above, within 5e-7 (4.2 ulp of 1.0) of
+    float64 for both values, and shares one exp(-h^2 / 2) between Phi and
+    phi; it overwrites h with gelu(h), so h must be a fresh C-contiguous
+    array.
     """
     if h.dtype == np.float64:
+        from scipy.special import erf  # math.erf is up to 3 ulp off, so float64 keeps SciPy's
         cdf = 0.5 * (1.0 + erf(h * (1.0 / math.sqrt(2.0))))
         if not grad:
             return h * cdf, None
@@ -821,13 +822,14 @@ def bce_with_logits(logits, targets):
     """Mean binary cross entropy against {0,1} targets, stable for large logits."""
     z = logits.data
     y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=z.dtype)
-    val = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    e = np.exp(-np.abs(z))
+    val = np.maximum(z, 0.0) - z * y + np.log1p(e)
     out = Tensor(np.asarray(val.mean(), dtype=z.dtype))
     n = z.size
     rlogits = logits.rec
 
     def back(g):
-        _accumulate(rlogits, g * (expit(z) - y) / n)
+        _accumulate(rlogits, g * (np.where(z >= 0, 1.0, e) / (1.0 + e) - y) / n)
 
     return _record(out, (rlogits,), back)
 

@@ -10,10 +10,10 @@ parameters use the base rate.  Fine-tuning (`transfer.finetune`) supplies
 the task loss, one sampler over the task samples and flat scales.
 
 All randomness flows through streams keyed by the run seed and a
-`STREAM_*` tag (`checkpoint.stream_rng`).  A trainer's state keeps its
-streams in one table by name, "mask" and "cross" in pretraining, and a
-checkpoint stores each as `rng.<name>`, so a resumed run continues the
-exact trajectory of an uninterrupted one.
+`STREAM_*` tag (`checkpoint.stream_rng`, re-exported here with the tags).
+A trainer's state keeps its streams in one table by name, "mask" and
+"cross" in pretraining, and a checkpoint stores each as `rng.<name>`, so a
+resumed run continues the exact trajectory of an uninterrupted one.
 """
 
 import json
@@ -25,19 +25,12 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import tensor as T
-from .checkpoint import stream_rng
+from .checkpoint import (STREAM_CROSS, STREAM_DATA, STREAM_EVAL, STREAM_MASK,
+                         STREAM_RENDER, STREAM_TASK, stream_rng)
 from .config import check_fields, keyed
 from .errors import CompatibilityError, ConfigError, DataFormatError, NumericError
 from .model import init_params, round_loss
 from .sensors import MultisensorBatch
-
-# stream tags of the run's RNG lanes, the second entry of a `stream_rng` key
-STREAM_DATA = 1
-STREAM_MASK = 2
-STREAM_CROSS = 3
-STREAM_TASK = 4
-STREAM_EVAL = 5
-STREAM_RENDER = 6
 
 
 @dataclass(frozen=True)
@@ -344,16 +337,28 @@ class Trainer:
     def resume(self, path):
         named = ckpt.load_tensors(path)
         check_compatible(named, self.dataset.registry, self.model_cfg, self.state.params)
+        # every other entry read below, at its shape (None: any), before any is assigned
+        shapes = {f"opt.{m}.{k}": p.data.shape for k, p in self.state.params.items() for m in "mv"}
+        shapes["meta.step"] = ()
+        shapes.update({f"rng.{k}": None for k in self.state.rngs})
+        shapes.update({f"sampler.{k}": (len(self.samplers),) for k in ("sensor_ids", "cycle", "pos")})
+        for k, shape in shapes.items():
+            if k not in named:
+                raise CompatibilityError(f"checkpoint is missing entry {k!r}")
+            if shape is not None and named[k].shape != shape:
+                raise CompatibilityError(
+                    f"checkpoint entry {k!r} has shape {named[k].shape}, expected {shape}")
+        sids = [int(v) for v in named["sampler.sensor_ids"]]
+        for sid in sids:
+            if sid not in self.samplers:
+                raise CompatibilityError(f"checkpoint sampler refers to unknown sensor {sid}")
         for k, p in self.state.params.items():
             p.data = named[k].astype(p.data.dtype, copy=True)
             self.state.m[k] = named[f"opt.m.{k}"].astype(p.data.dtype, copy=True)
             self.state.v[k] = named[f"opt.v.{k}"].astype(p.data.dtype, copy=True)
         self.state.step = int(named["meta.step"])
         self.state.rngs = {k: ckpt.rng_from_u8(named[f"rng.{k}"]) for k in self.state.rngs}
-        sids = [int(v) for v in named["sampler.sensor_ids"]]
         for i, sid in enumerate(sids):
-            if sid not in self.samplers:
-                raise CompatibilityError(f"checkpoint sampler refers to unknown sensor {sid}")
             self.samplers[sid].cycle = int(named["sampler.cycle"][i])
             self.samplers[sid].pos = int(named["sampler.pos"][i])
         # the log keeps the steps before the checkpoint, so each step the

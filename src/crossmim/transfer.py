@@ -275,7 +275,8 @@ def reconstruction_report(params, model_cfg, dataset, records, rng):
     decoder, and compared to the ground truth over the full image: MAE,
     PSNR, SSIM (averaged per channel), SAM for multichannel sensors, plus
     the masked-footprint L1 that pretraining optimizes.  PSNR/SSIM use the
-    ground-truth image's value range as max_val.
+    ground-truth image's value range as max_val.  Each mean takes every
+    record: one NaN record makes it NaN, one perfect record a PSNR of inf.
     """
     buckets = {}
     results = reconstruct_records(params, model_cfg, dataset, [(r, r) for r in records], rng)
@@ -293,15 +294,8 @@ def reconstruction_report(params, model_cfg, dataset, records, rng):
             entry["sam_deg"] = sam_degrees(pred, gt64)
         buckets.setdefault(r.sensor_id, []).append(entry)
 
-    report = {}
-    for sid, entries in sorted(buckets.items()):
-        keys = entries[0].keys()
-        report[sid] = {
-            k: float(np.mean([e[k] for e in entries if np.isfinite(e[k])]))
-            if any(np.isfinite(e[k]) for e in entries) else float("inf")
-            for k in keys
-        }
-    return report
+    return {sid: {k: float(np.mean([e[k] for e in entries])) for k in entries[0]}
+            for sid, entries in sorted(buckets.items())}
 
 
 def cross_reconstruction_l1(params, model_cfg, dataset, records, rng):

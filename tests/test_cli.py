@@ -12,7 +12,8 @@ import crossmim.cli as cli
 from crossmim.cli import _parse_grid, format_table, main
 from crossmim.config import parse_config_text
 from crossmim.errors import ConfigError
-from crossmim.sensors import load_manifest
+from crossmim.sensors import (Dataset, gen_synthetic, load_manifest, save_manifest,
+                              single_registry)
 
 CONFIG = """
 seed = 3
@@ -463,13 +464,16 @@ def test_huge_capacity_factor_pretrains(ws, tmp_path, capsys):
 
 def test_finetune_keeps_the_head_when_the_metric_is_undefined(ws, tmp_path, capsys):
     """A multilabel task with no positive label has no mAP: exit 4, but the
-    trained head is already on disk."""
+    trained head is already on disk.  Every image is negative, so no label
+    strip has a positive mean."""
     sets = ["--set", "data.registry=single", "--set", "data.n_per_sensor=5",
             "--set", "data.width=8", "--set", "data.height=16", "--set", "model.width=6",
             "--set", "transfer.classes=2", "--set", "transfer.head=multilabel"]
     data, out = tmp_path / "data", tmp_path / "ft"
-    assert main(["gen-data", "--config", ws["cfg"], "--out", str(data)] + sets) == 0
-    capsys.readouterr()
+    ds = gen_synthetic(single_registry(), 5, 8, 16, seed=3)
+    data.mkdir()
+    save_manifest(Dataset(ds.registry, 8, 16, ds.records, [-1.0 - np.abs(im) for im in ds.images]),
+                  str(data / "data.msgfm"))
     code = main(["finetune", "--config", ws["cfg"], "--data", str(data),
                  "--out", str(out)] + sets)
     assert code == 4
@@ -477,6 +481,43 @@ def test_finetune_keeps_the_head_when_the_metric_is_undefined(ws, tmp_path, caps
     assert "numeric failure" in err and "Traceback" not in err
     named = ckpt.load_tensors(str(out / "head.msgm"))
     assert "head.w" in named and "meta.transfer_config" in named
+
+
+def test_evaluate_reports_a_nan_reconstruction_as_nan(ws, tmp_path, capsys):
+    """A NaN decoder makes every sar record NaN: the report reads "nan",
+    not the "inf" of a perfect reconstruction, and the command exits 0."""
+    named = ckpt.load_tensors(os.path.join(ws["pre"], "checkpoint-final.msgm"))
+    named["decoder.0.proj"][:] = np.nan
+    broken = str(tmp_path / "nan.msgm")
+    ckpt.save_tensors(broken, named)
+    assert main(["evaluate", "--config", ws["cfg"], "--data", ws["data"],
+                 "--checkpoint", broken, "--out", str(tmp_path / "eval")]) == 0
+    sar = read_json(tmp_path / "eval" / "metric-report.json")["per_sensor"]["sar"]
+    assert set(sar.values()) == {"nan"}, sar
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry,change", [
+    ("opt.m.shared.pos_embed", "drop"), ("opt.m.encoder.block0.attn.wq", "reshape"),
+    ("opt.v.decoder.1.bias", "drop"), ("opt.v.embedder.0.kernel", "reshape"),
+    ("meta.step", "drop"), ("meta.step", "reshape"),
+    ("rng.mask", "drop"), ("rng.cross", "drop"),
+    ("sampler.sensor_ids", "drop"), ("sampler.cycle", "reshape"), ("sampler.pos", "reshape"),
+])
+def test_resume_checks_every_entry_it_reads(ws, tmp_path, capsys, entry, change):
+    """A checkpoint that lacks an entry `resume` reads, or holds one at the
+    wrong shape, is incompatible: exit 5 naming the entry, no traceback."""
+    named = ckpt.load_tensors(os.path.join(ws["pre"], "checkpoint-final.msgm"))
+    if change == "drop":
+        del named[entry]
+    else:
+        named[entry] = named[entry].reshape(1, -1)
+    broken = str(tmp_path / "broken.msgm")
+    ckpt.save_tensors(broken, named)
+    assert main(["pretrain", "--config", ws["cfg"], "--data", ws["data"],
+                 "--out", str(tmp_path / "out"), "--resume", broken]) == 5
+    err = capsys.readouterr().err
+    assert entry in err and "Traceback" not in err
 
 
 def test_compat_error_exit_codes(ws, tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Parameter table construction and the pretraining round loss."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -417,17 +421,23 @@ def test_readme_desk_round_node_count_is_measured(desk_round_tape):
     assert int(quoted.group(1)) == desk_round_tape[0]
 
 
-def test_float32_desk_round_never_calls_scipy_erf(monkeypatch):
-    """The float32 GELU is NumPy's own; scipy's erf serves float64 only."""
-    scipy_erf = T.erf
-
-    def float64_only(x):
-        if x.dtype != np.float64:
-            raise AssertionError(f"scipy erf called on {x.dtype}")
-        return scipy_erf(x)
-
-    monkeypatch.setattr(T, "erf", float64_only)
-    ds = gen_synthetic(desk_registry(), 32, 32, 32, seed=7)
-    trainer = Trainer(ds, ModelConfig(), TrainConfig(base_batch=8, seed=7))
-    trainer.train_step()
-    assert len(trainer.state.history) == 1 and np.isfinite(trainer.state.history[0])
+def test_float32_desk_round_never_calls_scipy_erf():
+    """The float32 GELU is NumPy's own; SciPy's erf serves float64 only, so
+    in a fresh interpreter neither `import crossmim` nor one float32 desk
+    round loads any `scipy` module."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from crossmim import ModelConfig, TrainConfig, Trainer, desk_registry, gen_synthetic
+        loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded(), loaded()
+        ds = gen_synthetic(desk_registry(), 32, 32, 32, seed=7)
+        trainer = Trainer(ds, ModelConfig(), TrainConfig(base_batch=8, seed=7))
+        trainer.train_step()
+        assert len(trainer.state.history) == 1 and np.isfinite(trainer.state.history[0])
+        assert not loaded(), loaded()
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr

@@ -57,10 +57,8 @@ def test_stream_rng_deterministic_and_independent():
 
 
 def test_stream_keys_of_every_caller(monkeypatch):
-    """The key each caller gives `stream_rng`.  Keys that differ only in
-    trailing zeros are one stream, so sensor 1's data is STREAM_DATA's key
-    for sensor 0, cycle 0, and sensor 3's data is STREAM_CROSS: a new key
-    scheme has to change this test on purpose."""
+    """The key each caller gives `stream_rng`, and no two keys of any
+    caller's shape give the same generator, trailing zeros included."""
     calls = {}
 
     def spy(log):
@@ -69,22 +67,40 @@ def test_stream_keys_of_every_caller(monkeypatch):
     for mod in (model, sensors, training):
         monkeypatch.setattr(mod, "stream_rng", spy(calls.setdefault(mod.__name__, [])))
     model.param_rng(4, "head.w")
-    assert calls["crossmim.model"] == [(4, zlib.crc32(b"head.w"))]
+    assert calls["crossmim.model"] == [(4, ckpt.STREAM_PARAM, zlib.crc32(b"head.w"))]
     gen_synthetic(desk_registry(), 2, 8, 8, seed=5)
-    assert calls["crossmim.sensors"] == [(5, 0), (5, 1), (7041, 1, 2), (7041, 1, 2),
-                                         (5, 3), (7041, 3, 4), (7041, 3, 4)]
-    assert (ckpt.stream_rng(5, STREAM_DATA, 0, 0).bit_generator.state
-            == ckpt.stream_rng(5, 1).bit_generator.state)
+    synth, pair = ckpt.STREAM_SYNTH, ckpt.STREAM_PAIR
+    assert calls["crossmim.sensors"] == [(5, synth, 0), (5, synth, 1), (7041, pair, 1, 2),
+                                         (7041, pair, 1, 2), (5, synth, 3), (7041, pair, 3, 4),
+                                         (7041, pair, 3, 4)]
     make_trainer().train_step()
     assert calls["crossmim.training"] == [(3, STREAM_MASK), (3, STREAM_CROSS),
                                           (3, STREAM_DATA, 0, 0), (3, STREAM_DATA, 1, 0)]
-    calls["crossmim.training"].clear()
     ds = gen_synthetic(pair_registry(), 3, 16, 16, seed=7)
     tcfg = TransferConfig(head="multilabel", num_classes=2)
     finetune(ds.registry, MCFG, tcfg, (0, 1), make_task(ds, tcfg, (0, 1)), None,
              steps=2, lr=1e-3, batch_size=2, seed=9)
-    assert calls["crossmim.training"] == [(9, STREAM_TASK, 0, 0), (9, STREAM_TASK, 0, 0),
-                                          (9, STREAM_TASK, 0, 1)]
+    assert calls["crossmim.training"][4:] == [(9, STREAM_TASK, 0, 0), (9, STREAM_TASK, 0, 0),
+                                              (9, STREAM_TASK, 0, 1)]
+
+    # every caller's key shape (the CLI adds the evaluation and render keys)
+    # at small entries, under one run seed and the pair mix's 7041, plus
+    # each key with one and two trailing zeros and without its last entry
+    shapes = {key[1:] for log in calls.values() for key in log}
+    shapes |= {(training.STREAM_EVAL,), (training.STREAM_EVAL, 1), (training.STREAM_RENDER,)}
+    shapes |= {(tag, *(e % 3 for e in entries)) for tag, *entries in shapes}
+    keys = {(seed, *key, *zeros) for seed in (5, 7041) for key in shapes
+            for zeros in ((), (0,), (0, 0))}
+    keys |= {key[:-1] for key in keys if len(key) > 2}
+    # among them the keys that zero-padded entropy made equal: (1,) and (1, 0)
+    assert (5, STREAM_CROSS) in keys and (5, synth, STREAM_CROSS) in keys and (5, 1, 0) in keys
+    states = {key: ckpt.stream_rng(*key).bit_generator.state["state"] for key in keys}
+    assert len({(st["state"], st["inc"]) for st in states.values()}) == len(keys)
+
+    src = os.path.dirname(ckpt.__file__)
+    tagging = [name for name in sorted(os.listdir(src)) if name.endswith(".py") and
+               re.search(r"^STREAM_\w+ =", open(os.path.join(src, name)).read(), re.M)]
+    assert tagging == ["checkpoint.py"]
 
 
 def test_only_checkpoint_builds_seeded_generators():

@@ -41,7 +41,7 @@ def main():
 
     print("\nuniform gate (all-zero weights): every token ties to expert 0,")
     with T.no_grad():
-        _, aux_u, rep_u = moe_forward(x, T.constant(np.zeros((width, n_experts))), bank)
+        _, aux_u, rep_u = moe_forward(x, T.constant(np.zeros((width, n_experts))), bank, 1.25)
     print(f"counts {rep_u.expert_counts}, balance loss exactly {float(aux_u.data)}")
 
     print("\na gate that overweights one shared feature collapses routing,")
@@ -52,7 +52,7 @@ def main():
         skew = gate.data.copy()
         skew[0, 0] += strength  # expert 0 listens to the shared feature
         with T.no_grad():
-            _, aux_s, rep_s = moe_forward(T.constant(shared), T.constant(skew), bank)
+            _, aux_s, rep_s = moe_forward(T.constant(shared), T.constant(skew), bank, 1.25)
         print(f"  gate skew {strength:4.1f}: counts {rep_s.expert_counts}, "
               f"aux {float(aux_s.data):.4f}")
 

@@ -154,7 +154,8 @@ def stream_rng(seed, stream, *extra):
     """The generator of `seed`'s stream `stream` (a STREAM_* tag) at `extra`;
     no other code seeds one.  The tag and entries form the SeedSequence spawn
     key, mixed in after the zero-padded seed, so (1,) and (1, 0) are two
-    streams while seeds stay below 2**128 and entries below 2**32."""
+    streams while seeds stay below 2**128 and entries below 2**32; a run's
+    `seed` is checked to lie in [0, 2**64)."""
     key = (int(stream), *map(int, extra))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=key)))
 
@@ -185,8 +186,8 @@ def registry_digest(registry):
     lines = []
     for s in registry:
         pair = -1 if s.paired_with is None else s.paired_with
-        mean = ",".join(repr(v) for v in s.norm_mean)
-        std = ",".join(repr(v) for v in s.norm_std)
+        # the per-channel 0.0 and 1.0 fields keep the digests of old files
+        mean, std = (",".join([v] * s.channels) for v in ("0.0", "1.0"))
         lines.append(f"{s.sensor_id}|{s.name}|{s.channels}|{pair}|{mean}|{std}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
     return bytes_to_u8(digest)

@@ -17,7 +17,7 @@ from .errors import ConfigError
 # default from here (`keyed`), and `check_range` tests values against the
 # allowed values.
 SCHEMA = {
-    "seed": ("int", 0, ">= 0"),
+    "seed": ("int", 0, "in [0, 2**64)"),
     "data.registry": ("str", "desk", None),  # desk | pair | single
     "data.n_per_sensor": ("int", 32, ">= 1"),
     "data.width": ("int", 32, ">= 1"),
@@ -70,6 +70,7 @@ _IN_RANGE = {
     "in (0, 1)": lambda x: 0 < x < 1,
     "in [0, 1)": lambda x: 0 <= x < 1,
     "in [0, 1]": lambda x: 0 <= x <= 1,
+    "in [0, 2**64)": lambda x: 0 <= x < 2**64,
 }
 
 

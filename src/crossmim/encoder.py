@@ -79,7 +79,7 @@ def _dispatch(assign, n_tokens, num_experts, capacity):
     return np.split(kept, np.searchsorted(assign[kept], np.arange(1, num_experts)))
 
 
-def moe_forward(x, gate_w, experts, capacity_factor=1.25):
+def moe_forward(x, gate_w, experts, capacity_factor):
     """Route each token of x, (T, width) or (B, T, width), to its argmax expert.
 
     experts: list of parameter dicts with keys w1/b1/w2/b2.  The capacity

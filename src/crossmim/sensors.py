@@ -1,7 +1,7 @@
 """Sensor registry, synthetic multisensor data, and the dataset file.
 
-Images are channel-first (C, W, H) float32, stored already normalized to
-each sensor's declared statistics.  Paired sensors hold colocated
+Images are channel-first (C, W, H) float32, each channel of each sample
+standardized to mean 0 and std 1.  Paired sensors hold colocated
 samples of identical W x H; the partner image is a deterministic
 transform of the source so cross-sensor prediction has learnable signal.
 A dataset is saved as one checkpoint container (see `checkpoint`).
@@ -27,21 +27,12 @@ class SensorSpec:
         name: short identifier, no whitespace.
         channels: number of image channels, >= 1.
         paired_with: sensor_id of the colocated partner, or None.
-        norm_mean, norm_std: per-channel stats the data is normalized to.
     """
 
     sensor_id: int
     name: str
     channels: int
     paired_with: Optional[int] = None
-    norm_mean: tuple = ()
-    norm_std: tuple = ()
-
-    def __post_init__(self):
-        mean = self.norm_mean or (0.0,) * self.channels
-        std = self.norm_std or (1.0,) * self.channels
-        object.__setattr__(self, "norm_mean", tuple(float(v) for v in mean))
-        object.__setattr__(self, "norm_std", tuple(float(v) for v in std))
 
 
 class SensorRegistry:
@@ -57,10 +48,6 @@ class SensorRegistry:
                 raise ConfigError(f"sensor {s.name!r} has zero channels")
             if not s.name or any(c.isspace() for c in s.name):
                 raise ConfigError(f"sensor name must be non-empty without whitespace: {s.name!r}")
-            if len(s.norm_mean) != s.channels or len(s.norm_std) != s.channels:
-                raise ConfigError(f"sensor {s.name!r}: norm stats length != channels")
-            if any(v <= 0 for v in s.norm_std):
-                raise ConfigError(f"sensor {s.name!r}: norm_std must be strictly positive")
             if s.paired_with is not None:
                 if s.paired_with == s.sensor_id:
                     raise ConfigError(f"sensor {s.name!r} paired with itself")
@@ -222,16 +209,11 @@ def _smooth_field(channels, bands, rng):
     return noise + 0.5 * common[None, :, :]
 
 
-def _to_declared_stats(x, spec):
-    # exact per-sample standardization, then affine to the declared stats;
-    # pooled mean/std over many samples then match the declaration exactly
+def _standardize(x):
+    # exact per-sample, per-channel standardization to mean 0 and std 1
     mean = x.mean(axis=(1, 2), keepdims=True)
-    std = x.std(axis=(1, 2), keepdims=True)
-    std = np.maximum(std, 1e-8)
-    z = (x - mean) / std
-    m = np.asarray(spec.norm_mean, dtype=np.float64)[:, None, None]
-    s = np.asarray(spec.norm_std, dtype=np.float64)[:, None, None]
-    return (z * s + m).astype(np.float32)
+    std = np.maximum(x.std(axis=(1, 2), keepdims=True), 1e-8)
+    return ((x - mean) / std).astype(np.float32)
 
 
 def pair_transform_weights(registry, src_id):
@@ -250,33 +232,20 @@ def pair_transform_weights(registry, src_id):
 
 def partner_transform(registry, src_id, image):
     """Deterministic partner image for a paired source sample: fixed channel
-    mix + bias, tanh, then renormalized to the partner's declared stats."""
-    spec = registry[src_id]
+    mix + bias, tanh, then standardized per channel."""
     mix, bias = pair_transform_weights(registry, src_id)
-    dst = registry[spec.paired_with]
-    x = image.astype(np.float64)
-    mean = np.asarray(spec.norm_mean, dtype=np.float64)[:, None, None]
-    std = np.asarray(spec.norm_std, dtype=np.float64)[:, None, None]
-    z = (x - mean) / std
-    y = np.tanh(np.einsum("oc,cwh->owh", mix, z) + bias[:, None, None])
-    return _to_declared_stats(y, dst)
+    y = np.tanh(np.einsum("oc,cwh->owh", mix, image.astype(np.float64)) + bias[:, None, None])
+    return _standardize(y)
 
 
 def gen_synthetic(registry, n_per_sensor, width, height, seed):
-    """Deterministic synthetic dataset: `n_per_sensor[sensor_id]` samples per
-    sensor (an int applies to all).  Paired sensors are generated jointly,
-    the lower-id sensor acting as the source; both directions of a pair get
-    their own source-drawn samples so each sensor reaches its quota."""
+    """Deterministic synthetic dataset of `n_per_sensor` samples for every
+    sensor.  Paired sensors are generated jointly, the lower-id sensor
+    acting as the source of each colocated pair."""
     if width < 1 or height < 1:
         raise ConfigError(f"image size must be >= 1, got {width}x{height}")
-    if isinstance(n_per_sensor, int):
-        n_per_sensor = {s.sensor_id: n_per_sensor for s in registry}
-    for s in registry:
-        n = n_per_sensor.get(s.sensor_id, 0)
-        if n < 1:
-            raise ConfigError(f"n_per_sensor must be >= 1 for sensor {s.name!r}, got {n}")
-        if s.paired_with is not None and n_per_sensor[s.paired_with] != n:
-            raise ConfigError("paired sensors need equal sample counts")
+    if n_per_sensor < 1:
+        raise ConfigError(f"n_per_sensor must be >= 1, got {n_per_sensor}")
 
     sigma = max(min(width, height) / 8.0, 1.0)  # radius: SciPy's default 4 sigma
     bands = [[gaussian_band(n, s, int(4.0 * s + 0.5)) for n in (width, height)]
@@ -292,8 +261,8 @@ def gen_synthetic(registry, n_per_sensor, width, height, seed):
         if spec.paired_with is not None and spec.paired_with < spec.sensor_id:
             continue  # pair handled from its lower-id side
         rng = stream_rng(seed, STREAM_SYNTH, spec.sensor_id)
-        for _ in range(n_per_sensor[spec.sensor_id]):
-            src = _to_declared_stats(_smooth_field(spec.channels, bands, rng), spec)
+        for _ in range(n_per_sensor):
+            src = _standardize(_smooth_field(spec.channels, bands, rng))
             if spec.paired_with is None:
                 add(spec.sensor_id, src)
             else:
@@ -311,9 +280,12 @@ def save_manifest(dataset, path):
     `sensors`, one JSON row per spec in `SensorSpec` field order; `size`,
     [W, H]; `records`, (N, 2) rows of [sensor_id, partner or -1]; and one
     f32 `image.<sample_id>` per sample.  The round trip is bit exact."""
+    # per-channel 0.0 and 1.0 lists end each row, where files once kept
+    # norm stats, so old and new files stay compatible
     named = {
         "sensors": json_to_u8([[s.sensor_id, s.name, s.channels, s.paired_with,
-                                s.norm_mean, s.norm_std] for s in dataset.registry]),
+                                [0.0] * s.channels, [1.0] * s.channels]
+                               for s in dataset.registry]),
         "size": np.array([dataset.width, dataset.height], dtype=np.int64),
         "records": np.array([[r.sensor_id, -1 if r.partner_sample_id is None
                               else r.partner_sample_id] for r in dataset.records],
@@ -330,7 +302,7 @@ def load_manifest(path):
     a DataFormatError."""
     try:
         named = load_tensors(path)
-        registry = SensorRegistry(SensorSpec(*row) for row in u8_to_json(named["sensors"]))
+        registry = SensorRegistry(SensorSpec(*row[:4]) for row in u8_to_json(named["sensors"]))
         width, height = (int(v) for v in named["size"])
         records = [SampleRecord(i, int(sid), None if pair < 0 else int(pair))
                    for i, (sid, pair) in enumerate(named["records"])]

@@ -14,6 +14,7 @@ from crossmim.config import parse_config_text
 from crossmim.errors import ConfigError
 from crossmim.sensors import (Dataset, gen_synthetic, load_manifest, save_manifest,
                               single_registry)
+from crossmim.training import TrainConfig
 
 CONFIG = """
 seed = 3
@@ -379,6 +380,20 @@ def test_out_of_range_value_exits_2(ws, tmp_path, capsys, command, setting):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+def test_seed_range_ends_below_2_pow_64(ws, tmp_path, capsys):
+    """Seeds of 2**128 and above would overflow into the stream spawn key,
+    so `seed` stops at 2**64 - 1, in the CLI and in `TrainConfig`."""
+    args = ["gen-data", "--config", ws["cfg"], "--set", "data.n_per_sensor=1"]
+    assert main(args + ["--out", str(tmp_path / "big"), "--set",
+                        "seed=18446744073709551616"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err and "Traceback" not in err
+    assert main(args + ["--out", str(tmp_path / "top"), "--set",
+                        "seed=18446744073709551615"]) == 0
+    with pytest.raises(ConfigError, match="seed"):
+        TrainConfig(seed=2**64)
 
 
 @pytest.mark.parametrize("command", ["pretrain", "ablate", "finetune", "evaluate",

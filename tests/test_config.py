@@ -198,6 +198,7 @@ def range_edges(key):
         "in (0, 1)": ([0, 1], []),
         "in [0, 1)": ([past(0, -1), 1], [0]),
         "in [0, 1]": ([past(0, -1), past(1, 1)], [0, 1]),
+        "in [0, 2**64)": ([past(0, -1), 2**64], [0, 2**64 - 1]),
     }[allowed]
     if kind == "int":
         return outside, closed

@@ -14,18 +14,10 @@ from crossmim.sensors import (Dataset, SampleRecord, SensorRegistry, SensorSpec,
                               save_manifest, single_registry)
 
 
-def test_sensor_spec_fills_default_stats():
-    s = SensorSpec(0, "x", 3)
-    assert s.norm_mean == (0.0, 0.0, 0.0)
-    assert s.norm_std == (1.0, 1.0, 1.0)
-
-
 @pytest.mark.parametrize("specs", [
     [SensorSpec(0, "a", 1), SensorSpec(2, "b", 1)],               # gap in ids
     [SensorSpec(0, "a", 0)],                                      # no channels
     [SensorSpec(0, "bad name", 1)],                               # whitespace
-    [SensorSpec(0, "a", 2, norm_mean=(0.0,), norm_std=(1.0,))],   # stats length
-    [SensorSpec(0, "a", 1, norm_std=(0.0,))],                     # zero std
     [SensorSpec(0, "a", 1, paired_with=0)],                       # self pair
     [SensorSpec(0, "a", 1, paired_with=5)],                       # unknown pair
     [SensorSpec(0, "a", 1, paired_with=1), SensorSpec(1, "b", 1)],  # one-sided
@@ -69,24 +61,18 @@ def test_gen_synthetic_deterministic_and_seed_sensitive():
 
 def test_gen_synthetic_counts_and_shapes():
     reg = desk_registry()
-    ds = gen_synthetic(reg, {0: 2, 1: 3, 2: 3, 3: 1, 4: 1}, 16, 16, seed=1)
-    assert {k: len(v) for k, v in ds.by_sensor.items()} == {0: 2, 1: 3, 2: 3, 3: 1, 4: 1}
+    ds = gen_synthetic(reg, 3, 16, 16, seed=1)
+    assert {k: len(v) for k, v in ds.by_sensor.items()} == {0: 3, 1: 3, 2: 3, 3: 3, 4: 3}
     for r in ds.records:
         assert ds.image(r.sample_id).shape == (reg[r.sensor_id].channels, 16, 16)
         assert ds.image(r.sample_id).dtype == np.float32
 
 
-def test_gen_synthetic_matches_declared_stats():
-    reg = SensorRegistry([
-        SensorSpec(0, "a", 2, paired_with=1, norm_mean=(1.0, -2.0), norm_std=(0.5, 3.0)),
-        SensorSpec(1, "b", 3, paired_with=0, norm_mean=(0.0, 0.0, 0.0), norm_std=(1.0, 1.0, 1.0)),
-    ])
-    ds = gen_synthetic(reg, 4, 16, 16, seed=3)
-    for r in ds.records:
-        spec = reg[r.sensor_id]
-        img = ds.image(r.sample_id)
-        np.testing.assert_allclose(img.mean(axis=(1, 2)), spec.norm_mean, atol=1e-4)
-        np.testing.assert_allclose(img.std(axis=(1, 2)), spec.norm_std, rtol=1e-4)
+def test_gen_synthetic_standardizes_every_channel():
+    ds = gen_synthetic(desk_registry(), 4, 16, 16, seed=3)
+    for img in ds.images:
+        np.testing.assert_allclose(img.mean(axis=(1, 2)), 0.0, atol=1e-4)
+        np.testing.assert_allclose(img.std(axis=(1, 2)), 1.0, rtol=1e-4)
 
 
 def test_gen_synthetic_pairing_links_and_transform():
@@ -113,8 +99,6 @@ def test_gen_synthetic_unpaired_has_no_partner():
 def test_gen_synthetic_validation():
     with pytest.raises(ConfigError):
         gen_synthetic(pair_registry(), 0, 16, 16, seed=1)
-    with pytest.raises(ConfigError):
-        gen_synthetic(pair_registry(), {0: 2, 1: 3}, 16, 16, seed=1)
 
 
 def test_pair_transform_weights_fixed_and_guarded():

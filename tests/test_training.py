@@ -420,6 +420,35 @@ def test_resume_rejects_shape_mismatch(tmp_path, load):
         load(path)
 
 
+def test_resume_refuses_each_dropped_or_reshaped_entry(tmp_path):
+    """Dropping any one entry, or giving it a leading axis, raises
+    CompatibilityError; only the byte-encoded JSON entries read the same
+    bytes at any shape, so they resume."""
+    path, bad = str(tmp_path / "ckpt.msgm"), str(tmp_path / "bad.msgm")
+    tr = make_trainer()
+    tr.train_step()
+    tr.save(path)
+    named = ckpt.load_tensors(path)
+    assert len(named) == 149
+    target = make_trainer()
+
+    def outcome(variant):
+        ckpt.save_tensors(bad, variant)
+        try:
+            target.resume(bad)
+        except CompatibilityError:
+            return "refused"
+        return "resumed"
+
+    refused = dict.fromkeys(named, "refused")
+    dropped = {k: outcome({j: a for j, a in named.items() if j != k}) for k in named}
+    assert dropped == refused
+    as_json = {k for k in named if k == "meta.model_config" or k.startswith("rng.")}
+    reshaped = {k: outcome({**named, k: named[k][None]}) for k in named}
+    assert reshaped == {**refused, **dict.fromkeys(as_json, "resumed")}
+    assert len(as_json) == 3
+
+
 def test_load_pretrained_returns_saved_parameters(tmp_path):
     path = str(tmp_path / "ckpt.msgm")
     tr = make_trainer()

@@ -316,51 +316,45 @@ class Trainer:
         return NumericError(str(err), diagnostics=diag)
 
     # -- persistence ---------------------------------------------------------
-    def save(self, path, *copies):
-        """Write the state to `path`, then its bytes to each of `copies`;
-        every file is written atomically."""
-        named = {k: p.data for k, p in self.state.params.items()}
-        named.update({f"opt.m.{k}": arr for k, arr in self.state.m.items()})
-        named.update({f"opt.v.{k}": arr for k, arr in self.state.v.items()})
-        named["meta.step"] = np.asarray(self.state.step, dtype=np.int64)
-        named["meta.registry"] = ckpt.registry_digest(self.dataset.registry)
-        named["meta.model_config"] = ckpt.json_to_u8(self.model_cfg.to_dict())
-        named.update({f"rng.{k}": ckpt.rng_to_u8(gen) for k, gen in self.state.rngs.items()})
-        sids = sorted(self.samplers)
+    def _entries(self):
+        """The checkpoint table that `save` writes and `resume` checks, in file order."""
+        state, sids = self.state, sorted(self.samplers)
+        named = {k: p.data for k, p in state.params.items()}
+        named.update({f"opt.m.{k}": arr for k, arr in state.m.items()})
+        named.update({f"opt.v.{k}": arr for k, arr in state.v.items()})
+        named["meta.step"] = np.asarray(state.step, dtype=np.int64)
+        named.update(_pins(self.dataset.registry, self.model_cfg))
+        named.update({f"rng.{k}": ckpt.rng_to_u8(gen) for k, gen in state.rngs.items()})
         named["sampler.sensor_ids"] = np.asarray(sids, dtype=np.int64)
         named["sampler.cycle"] = np.asarray([self.samplers[s].cycle for s in sids], dtype=np.int64)
         named["sampler.pos"] = np.asarray([self.samplers[s].pos for s in sids], dtype=np.int64)
+        return named
+
+    def save(self, path, *copies):
+        """Write the state to `path`, then its bytes to each of `copies`, each file
+        atomically; a non-finite float entry raises NumericError before any write."""
+        named = self._entries()
+        for k, arr in named.items():
+            if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+                raise NumericError(f"checkpoint entry {k!r} is not finite")
         blob = ckpt.save_tensors(path, named)
         for other in copies:
             ckpt.write_atomic(other, blob)
 
     def resume(self, path):
         named = ckpt.load_tensors(path)
-        check_compatible(named, self.dataset.registry, self.model_cfg, self.state.params)
-        # every other entry read below, at its shape (None: any), before any is assigned
-        shapes = {f"opt.{m}.{k}": p.data.shape for k, p in self.state.params.items() for m in "mv"}
-        shapes["meta.step"] = ()
-        shapes.update({f"rng.{k}": None for k in self.state.rngs})
-        shapes.update({f"sampler.{k}": (len(self.samplers),) for k in ("sensor_ids", "cycle", "pos")})
-        for k, shape in shapes.items():
-            if k not in named:
-                raise CompatibilityError(f"checkpoint is missing entry {k!r}")
-            if shape is not None and named[k].shape != shape:
-                raise CompatibilityError(
-                    f"checkpoint entry {k!r} has shape {named[k].shape}, expected {shape}")
-        sids = [int(v) for v in named["sampler.sensor_ids"]]
-        for sid in sids:
-            if sid not in self.samplers:
-                raise CompatibilityError(f"checkpoint sampler refers to unknown sensor {sid}")
+        check_compatible(named, self._entries(), self.model_cfg)
+        sids, stored = sorted(self.samplers), [int(v) for v in named["sampler.sensor_ids"]]
+        if stored != sids:
+            raise CompatibilityError(f"checkpoint samplers are for sensors {stored}, not {sids}")
         for k, p in self.state.params.items():
-            p.data = named[k].astype(p.data.dtype, copy=True)
-            self.state.m[k] = named[f"opt.m.{k}"].astype(p.data.dtype, copy=True)
-            self.state.v[k] = named[f"opt.v.{k}"].astype(p.data.dtype, copy=True)
+            p.data = named[k]
+        for k in self.state.m:
+            self.state.m[k], self.state.v[k] = named[f"opt.m.{k}"], named[f"opt.v.{k}"]
         self.state.step = int(named["meta.step"])
         self.state.rngs = {k: ckpt.rng_from_u8(named[f"rng.{k}"]) for k in self.state.rngs}
-        for i, sid in enumerate(sids):
-            self.samplers[sid].cycle = int(named["sampler.cycle"][i])
-            self.samplers[sid].pos = int(named["sampler.pos"][i])
+        for sid, cycle, pos in zip(sids, named["sampler.cycle"], named["sampler.pos"]):
+            self.samplers[sid].cycle, self.samplers[sid].pos = int(cycle), int(pos)
         # the log keeps the steps before the checkpoint, so each step the
         # resumed run takes is logged once; a torn last line is dropped
         self._log_mode = "a"
@@ -372,34 +366,39 @@ class Trainer:
             ckpt.write_atomic(self.log_path, b"".join(kept))
 
 
-def check_compatible(named, registry, model_cfg, params):
-    """Raise CompatibilityError unless the checkpoint tensors `named` were
-    trained on `registry` with the architecture of `model_cfg` and hold every
-    entry of `params` at its shape.  The objective settings stored beside the
-    architecture (masking, p_cross, MoE capacity and loss weight) may differ."""
-    stored = named.get("meta.registry")
-    if stored is None or not np.array_equal(stored, ckpt.registry_digest(registry)):
+def _pins(registry, model_cfg):
+    """The entries that tie a checkpoint to its sensor registry and model."""
+    return {"meta.registry": ckpt.registry_digest(registry),
+            "meta.model_config": ckpt.json_to_u8(model_cfg.to_dict())}
+
+
+def check_compatible(named, expected, model_cfg):
+    """Raise CompatibilityError unless the checkpoint tensors `named` hold, checked
+    in order, the registry digest of `expected` (which holds `_pins`), the
+    architecture of `model_cfg`, and every entry of `expected` at its dtype and shape
+    (a uint8, byte-encoded entry at any length); objective settings may differ."""
+    if not np.array_equal(named.get("meta.registry"), expected["meta.registry"]):
         raise CompatibilityError("checkpoint was trained against a different sensor registry")
-    raw_cfg = named.get("meta.model_config")
-    stored_cfg = {} if raw_cfg is None else ckpt.u8_to_json(raw_cfg)
+    stored_cfg = ckpt.u8_to_json(named["meta.model_config"]) if "meta.model_config" in named else {}
     if any(stored_cfg.get(k) != getattr(model_cfg, k) for k in model_cfg.ARCHITECTURE):
         raise CompatibilityError("checkpoint model configuration does not match this run")
-    for k, p in params.items():
-        if k not in named:
-            raise CompatibilityError(f"checkpoint is missing parameter {k!r}")
-        if named[k].shape != p.data.shape:
-            raise CompatibilityError(
-                f"checkpoint parameter {k!r} has shape {named[k].shape}, expected {p.data.shape}"
-            )
+    for k, want in expected.items():
+        got = named.get(k)
+        if got is None:
+            raise CompatibilityError(f"checkpoint is missing entry {k!r}")
+        if got.dtype != want.dtype or (got.shape != want.shape and want.dtype != np.uint8):
+            raise CompatibilityError(f"checkpoint entry {k!r} is {got.dtype} of shape "
+                                     f"{got.shape}, expected {want.dtype} of shape {want.shape}")
 
 
 def load_pretrained(path, registry, model_cfg):
     """Parameters-only load for transfer, evaluation, and rendering."""
     named = ckpt.load_tensors(path)
     params = init_params(registry, model_cfg, seed=0)
-    check_compatible(named, registry, model_cfg, params)
+    expected = {k: p.data for k, p in params.items()}
+    check_compatible(named, {**_pins(registry, model_cfg), **expected}, model_cfg)
     for k, p in params.items():
-        p.data = named[k].astype(p.data.dtype, copy=True)
+        p.data = named[k]
     return params
 
 

@@ -518,13 +518,17 @@ def test_evaluate_reports_a_nan_reconstruction_as_nan(ws, tmp_path, capsys):
     ("meta.step", "drop"), ("meta.step", "reshape"),
     ("rng.mask", "drop"), ("rng.cross", "drop"),
     ("sampler.sensor_ids", "drop"), ("sampler.cycle", "reshape"), ("sampler.pos", "reshape"),
+    ("opt.v.encoder.block1.gate.w", "cast"), ("meta.step", "cast"), ("rng.mask", "cast"),
 ])
 def test_resume_checks_every_entry_it_reads(ws, tmp_path, capsys, entry, change):
     """A checkpoint that lacks an entry `resume` reads, or holds one at the
-    wrong shape, is incompatible: exit 5 naming the entry, no traceback."""
+    wrong shape or dtype, is incompatible: exit 5 naming the entry, no
+    traceback."""
     named = ckpt.load_tensors(os.path.join(ws["pre"], "checkpoint-final.msgm"))
     if change == "drop":
         del named[entry]
+    elif change == "cast":
+        named[entry] = named[entry].astype(np.float64)
     else:
         named[entry] = named[entry].reshape(1, -1)
     broken = str(tmp_path / "broken.msgm")
@@ -533,6 +537,72 @@ def test_resume_checks_every_entry_it_reads(ws, tmp_path, capsys, entry, change)
                  "--out", str(tmp_path / "out"), "--resume", broken]) == 5
     err = capsys.readouterr().err
     assert entry in err and "Traceback" not in err
+
+
+def test_evaluate_refuses_a_float64_parameter(ws, tmp_path, capsys):
+    named = ckpt.load_tensors(os.path.join(ws["pre"], "checkpoint-final.msgm"))
+    named["encoder.block0.ffn.w2"] = named["encoder.block0.ffn.w2"].astype(np.float64)
+    cast = str(tmp_path / "cast.msgm")
+    ckpt.save_tensors(cast, named)
+    assert main(["evaluate", "--config", ws["cfg"], "--data", ws["data"],
+                 "--checkpoint", cast, "--out", str(tmp_path / "eval")]) == 5
+    err = capsys.readouterr().err
+    assert "'encoder.block0.ffn.w2' is float64" in err and "Traceback" not in err
+
+
+def test_resume_saves_no_non_finite_state(ws, tmp_path, capsys):
+    """NaN moments make the last update's parameters NaN with no loss left
+    to show it: the save names the first non-finite entry and exits 4
+    before it writes any checkpoint."""
+    named = ckpt.load_tensors(os.path.join(ws["pre"], "checkpoint-final.msgm"))
+    named["opt.m.shared.pos_embed"][:] = np.nan
+    broken, out = str(tmp_path / "nan.msgm"), tmp_path / "out"
+    ckpt.save_tensors(broken, named)
+    assert main(["pretrain", "--config", ws["cfg"], "--data", ws["data"], "--out", str(out),
+                 "--resume", broken, "--set", "train.epochs=3"]) == 4
+    err = capsys.readouterr().err
+    assert "'shared.pos_embed' is not finite" in err and "Traceback" not in err
+    assert not [f for f in os.listdir(out) if f.endswith(".msgm")]
+
+
+# a few entries of every checkpoint family, for the corpus below
+CORPUS_ENTRIES = ("shared.pos_embed", "decoder.1.bias", "opt.m.encoder.block0.attn.wq",
+                  "opt.v.embedder.0.kernel", "meta.step", "meta.registry", "rng.mask",
+                  "sampler.pos")
+
+
+def test_checkpoint_corpus_through_the_cli(ws, tmp_path, capsys):
+    """Each corpus entry dropped, cast to float64, NaN-filled (float entries
+    only) or given a leading axis, through `pretrain --resume`, `evaluate`
+    and `finetune`: every run exits 0, 3, 4 or 5 with no traceback, one that
+    reads a dropped or cast entry exits 5, and a NaN resume exits 4."""
+    named = ckpt.load_tensors(os.path.join(ws["pre"], "checkpoint-final.msgm"))
+    wrong, runs = {}, 0
+    for entry in CORPUS_ENTRIES:
+        arr = named[entry]
+        variants = {"drop": {k: a for k, a in named.items() if k != entry},
+                    "cast": {**named, entry: arr.astype(np.float64)},
+                    "lead": {**named, entry: arr[None]}}
+        if arr.dtype.kind == "f":
+            variants["nan"] = {**named, entry: np.full_like(arr, np.nan)}
+        for change, variant in variants.items():
+            path = str(tmp_path / f"{entry}-{change}.msgm")
+            ckpt.save_tensors(path, variant)
+            for command in ("pretrain", "evaluate", "finetune"):
+                flag = "--resume" if command == "pretrain" else "--checkpoint"
+                runs += 1
+                with np.errstate(all="ignore"):
+                    code = main([command, "--config", ws["cfg"], "--data", ws["data"],
+                                 flag, path, "--out", str(tmp_path / str(runs)),
+                                 "--set", "train.epochs=3"])
+                err = capsys.readouterr().err
+                reads = command == "pretrain" or not entry.startswith(
+                    ("opt.", "rng.", "sampler.", "meta.step"))
+                allowed = ({4} if change == "nan" and command == "pretrain" else
+                           {5} if change in ("drop", "cast") and reads else {0, 3, 4, 5})
+                if code not in allowed or "Traceback" in err:
+                    wrong[entry, change, command] = (code, err)
+    assert runs == 84 and not wrong, wrong
 
 
 def test_compat_error_exit_codes(ws, tmp_path, capsys):

@@ -401,7 +401,7 @@ def test_resume_rejects_missing_parameter(tmp_path):
     victim = next(k for k in named if k.startswith("decoder."))
     del named[victim]
     ckpt.save_tensors(path, named)
-    with pytest.raises(CompatibilityError, match="missing parameter"):
+    with pytest.raises(CompatibilityError, match=r"missing entry 'decoder\."):
         make_trainer().resume(path)
 
 
@@ -447,6 +447,26 @@ def test_resume_refuses_each_dropped_or_reshaped_entry(tmp_path):
     reshaped = {k: outcome({**named, k: named[k][None]}) for k in named}
     assert reshaped == {**refused, **dict.fromkeys(as_json, "resumed")}
     assert len(as_json) == 3
+
+
+def test_checkpoint_layout(tmp_path):
+    """A saved pretraining checkpoint lists the parameters in `init_params`
+    order, then every `opt.m.*`, then every `opt.v.*`, then the step, pins,
+    streams and sampler cursors, each at the dtype older files hold."""
+    path = str(tmp_path / "ckpt.msgm")
+    tr = make_trainer()
+    tr.train_step()
+    tr.save(path)
+    params = list(model.init_params(pair_registry(), MCFG, TCFG.seed))
+    want = {**dict.fromkeys(params, "float32"),
+            **dict.fromkeys([f"opt.m.{k}" for k in params], "float32"),
+            **dict.fromkeys([f"opt.v.{k}" for k in params], "float32"),
+            "meta.step": "int64", "meta.registry": "uint8", "meta.model_config": "uint8",
+            "rng.mask": "uint8", "rng.cross": "uint8", "sampler.sensor_ids": "int64",
+            "sampler.cycle": "int64", "sampler.pos": "int64"}
+    named = ckpt.load_tensors(path)
+    assert list(named) == list(want)
+    assert {k: str(arr.dtype) for k, arr in named.items()} == want
 
 
 def test_load_pretrained_returns_saved_parameters(tmp_path):

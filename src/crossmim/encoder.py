@@ -6,8 +6,10 @@ read from the table under `encoder.block<k>.`: pre-norm blocks
 feed-forward of selected blocks is a gated bank of experts.  Each token is
 routed to its argmax expert, subject to a per-expert capacity; overflow
 tokens skip the expert entirely and ride the residual connection.
-Attention is two tape nodes: `attend`, which projects its own q, k and v,
-and the output `linear`.
+Attention is two tape nodes: `attend`, which applies ln1 and projects its
+own q, k and v, and the output `linear`.  A dense feed-forward is one `ffn`
+node, which applies ln2 itself.  In an MoE block ln2 stays a `layer_norm`
+node, because the gate and the experts both read its output.
 """
 
 import math
@@ -58,9 +60,12 @@ def expert_capacity(n_tokens, num_experts, capacity_factor):
 
 
 def attention(x, p, heads):
-    """Multi-head self-attention over (B, L, width) sequences."""
+    """Multi-head self-attention over (B, L, width) sequences; with a
+    (gamma, beta) pair under p["norm"], over their layer_norm of x, folded
+    into the `attend` node.  The pair rides in `p` so that the signature
+    stays (x, p, heads), which `benchmarks/selftest` wraps."""
     qkv = [p[name + part] for part in "qkv" for name in ("w", "b")]
-    return T.linear(T.attend(x, *qkv, heads), p["wo"], p["bo"])
+    return T.linear(T.attend(x, *qkv, heads, norm=p.get("norm")), p["wo"], p["bo"])
 
 
 def _dispatch(assign, n_tokens, num_experts, capacity):
@@ -157,18 +162,22 @@ def encode(x, config, params):
         b = f"encoder.block{k}."
         attn_params = {key: params[b + "attn." + key]
                        for key in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
-        x = x + attention(T.layer_norm(x, params[b + "ln1.gamma"], params[b + "ln1.beta"]),
-                          attn_params, config.heads)
+        attn_params["norm"] = (params[b + "ln1.gamma"], params[b + "ln1.beta"])
+        x = x + attention(x, attn_params, config.heads)
         _check_finite(x, k, "attention")
-        h = T.layer_norm(x, params[b + "ln2.gamma"], params[b + "ln2.beta"])
+        ln2 = (params[b + "ln2.gamma"], params[b + "ln2.beta"])
         if k in config.moe_block_indices:
+            # the gate and the expert bank both read the normalized x, so it
+            # stays a node of its own, where their two gradients meet
             experts = [{key: params[f"{b}expert{e}.{key}"] for key in ("w1", "b1", "w2", "b2")}
                        for e in range(config.num_experts)]
-            y, aux, routing = moe_forward(h, params[b + "gate.w"], experts, config.capacity_factor)
+            y, aux, routing = moe_forward(T.layer_norm(x, *ln2), params[b + "gate.w"], experts,
+                                          config.capacity_factor)
             aux_total = aux_total + aux
             per_block.append([replace(r, block_index=k) for r in routing])
         else:
-            y = T.ffn(h, *(params[b + "ffn." + key] for key in ("w1", "b1", "w2", "b2")))
+            y = T.ffn(x, *(params[b + "ffn." + key] for key in ("w1", "b1", "w2", "b2")),
+                      norm=ln2)
         x = x + y
         _check_finite(x, k, "feedforward")
     reports = [r for sample in zip(*per_block) for r in sample]

@@ -4,7 +4,9 @@ Every differentiable operation is a primitive with a hand-written gradient,
 including the fused layers and the loss, one tape node each: `linear`,
 `softmax`, `layer_norm`, the GELU feed-forward `ffn`, the gated expert bank
 `moe_ffn`, multi-head self-attention `attend` with its q, k and v
-projections, and the masked L1 `masked_l1`.
+projections, and the masked L1 `masked_l1`.  `attend` and `ffn` can also
+take the LayerNorm before them as a `norm` pair and apply it inside the
+same node.
 The GELU is the exact h * Phi(h); Phi comes from a NumPy normal tail in
 float32 and from SciPy's erf, imported on first use, in float64.  Composite
 forms survive only as float64 oracles in the tests.  Only the patch
@@ -19,8 +21,8 @@ The tape never holds a `Tensor`.  Each tensor owns a small `GradRecord`
 closure), and each closure holds the records of its inputs plus exactly the
 arrays its gradient reads.  So an activation that no backward pass reads,
 such as a residual sum, is freed as soon as the forward code drops it, and
-one that is cheap to recompute, such as attention's q, k and v, is
-recomputed by the backward pass instead of kept.
+one that is cheap to recompute, such as attention's q, k and v or a folded
+LayerNorm's output, is recomputed by the backward pass instead of kept.
 
 Tensors default to float32; build parameters with ``dtype=np.float64`` when
 running gradient checks.
@@ -459,25 +461,69 @@ def softmax(a):
 _LAYER_NORM_EPS = 1e-5
 
 
+def _layer_norm_forward(x, gamma, beta):
+    """(x̂ * gamma + beta, x̂, 1/σ) over x's last axis, on arrays: x̂ is x
+    centred and scaled by 1/σ = (var + `_LAYER_NORM_EPS`)^-1/2."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + _LAYER_NORM_EPS) ** -0.5
+    xhat = centered * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _layer_norm_backward(g, xhat, inv, gamma, recs):
+    """x's gradient of `_layer_norm_forward` for the output gradient g;
+    accumulates gamma's and beta's into `recs`, their records."""
+    rgamma, rbeta = recs
+    gx = g * gamma
+    gx -= gx.mean(axis=-1, keepdims=True) + xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+    gx *= inv
+    _accumulate_rows(rgamma, g * xhat)
+    _accumulate_rows(rbeta, g)
+    return gx
+
+
+def _pre_norm(x, norm):
+    """The array a node reads for its input x: `layer_norm(x, *norm)`'s
+    output when `norm` is a (gamma, beta) pair, else x's own array.
+
+    Returns (array, reform, back, records of gamma and beta).
+    `reform(rows)` gives the backward pass array[rows] again (all of it by
+    default), and `back(g)` turns the array's gradient into x's.  With a
+    norm the two closures keep x̂ and 1/σ, not x̂ * gamma + beta: `reform`
+    re-forms it with the forward's own two operations, so it keeps its
+    bits, and `back` runs the LayerNorm backward, accumulating gamma's and
+    beta's gradients on the way.
+    """
+    if norm is None:
+        xd = x.data
+        return xd, (lambda rows=slice(None): xd[rows]), (lambda g: g), ()
+    gamma, beta = norm
+    gd, bd, recs = gamma.data, beta.data, (gamma.rec, beta.rec)
+    y, xhat, inv = _layer_norm_forward(x.data, gd, bd)
+    return (y, (lambda rows=slice(None): xhat[rows] * gd + bd),
+            (lambda g: _layer_norm_backward(g, xhat, inv, gd, recs)), recs)
+
+
 def layer_norm(x, gamma, beta):
     """Normalize the last axis to zero mean / unit variance, then affine;
     the variance gets `_LAYER_NORM_EPS` added before its square root."""
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = ((centered * centered).mean(axis=-1, keepdims=True) + _LAYER_NORM_EPS) ** -0.5
-    xhat = centered * inv
     gd = gamma.data
-    out = Tensor(xhat * gd + beta.data)
-    rx, rgamma, rbeta = x.rec, gamma.rec, beta.rec
+    y, xhat, inv = _layer_norm_forward(x.data, gd, beta.data)
+    rx, recs = x.rec, (gamma.rec, beta.rec)
 
     def back(g):
-        gx = g * gd
-        gx -= gx.mean(axis=-1, keepdims=True) + xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        gx *= inv
-        _accumulate(rx, gx)
-        _accumulate_rows(rgamma, g * xhat)
-        _accumulate_rows(rbeta, g)
+        _accumulate(rx, _layer_norm_backward(g, xhat, inv, gd, recs))
 
-    return _record(out, (rx, rgamma, rbeta), back)
+    return _record(Tensor(y), (rx,) + recs, back)
+
+
+def _sample_blocks(b, budget, sample_bytes):
+    """(step, blocks): slices of at most `step` samples that cover a batch of
+    b, last block first, where a block's per-sample scratch of
+    `sample_bytes` each fits in `budget` bytes (one sample at least).  Only
+    the first block, which holds the last samples, can be short."""
+    step = max(1, budget // max(1, sample_bytes))
+    return step, [slice(i, i + step) for i in range(0, b, step)][::-1]
 
 
 # Abramowitz & Stegun 7.1.26 for the upper normal tail, rewritten to take h
@@ -492,6 +538,9 @@ _GELU_BLOCK = 1 << 15
 # bytes of attention scores per sample block: the backward pass's re-formed
 # P^T and dS^T of one block stay in cache together
 _ATTEND_BLOCK = 1 << 19
+# bytes of FFN backward scratch per sample block: the hidden gradient and the
+# four per-sample parameter partials
+_FFN_BLOCK = 1 << 19
 
 
 def _gelu(h, grad=True):
@@ -555,32 +604,89 @@ def _ffn_forward(x, w1, b1, w2, b2, grad=True):
     return y, act, dact
 
 
+def _add_samples(parts, m, total):
+    """`total` plus the m per-sample partials in parts[:m], added last to
+    first, as `_unbroadcast` adds a batch; None for `total` starts the sum.
+
+    `parts` has one spare slot: `total` goes in parts[m], so `_unbroadcast`
+    adds it first and then the block's samples, in its own order.
+    """
+    if total is not None:
+        parts[m] = total
+        m += 1
+    total = _unbroadcast(parts[:m], parts.shape[1:])
+    # a one-sample, one-element sum is a view, and the next block reuses parts
+    return total.copy() if np.may_share_memory(total, parts) else total
+
+
 def _ffn_backward(g, x, act, dact, w1, w2, recs):
     """Accumulate the parameter gradients of `_ffn_forward` into `recs`,
-    the records of (w1, b1, w2, b2); return x's."""
+    the records of (w1, b1, w2, b2); return x's.
+
+    A (B, L, K) batch runs in sample blocks sized by `_FFN_BLOCK`, last
+    block first.  Each block forms its hidden gradient and its samples'
+    partials of the four parameters, then adds them to running totals last
+    to first.  So each total gets the bits of `_unbroadcast` over the whole
+    batch, while no scratch array spans more than one block.  Other shapes,
+    such as `moe_ffn`'s (N, K) rows, run whole.
+    """
     rw1, rb1, rw2, rb2 = recs
-    _accumulate(rw2, np.matmul(np.swapaxes(act, -1, -2), g))
-    _accumulate_rows(rb2, g)
-    gh = np.matmul(g, w2.T)
-    gh *= dact
-    _accumulate(rw1, np.matmul(np.swapaxes(x, -1, -2), gh))
-    _accumulate_rows(rb1, gh)
-    return np.matmul(gh, w1.T)
+    if g.ndim != 3:
+        _accumulate(rw2, np.matmul(np.swapaxes(act, -1, -2), g))
+        _accumulate_rows(rb2, g)
+        gh = np.matmul(g, w2.T)
+        gh *= dact
+        _accumulate(rw1, np.matmul(np.swapaxes(x, -1, -2), gh))
+        _accumulate_rows(rb1, gh)
+        return np.matmul(gh, w1.T)
+    b, n = g.shape[:2]
+    (k, hidden), out = w1.shape, w2.shape[1]
+    dtype = np.result_type(g, x, act, dact, w1, w2)
+    step, blocks = _sample_blocks(b, _FFN_BLOCK, (n + k + out) * hidden * dtype.itemsize)
+    full = min(b, step)
+    gh_buf = np.empty((full, n, hidden), dtype=dtype)
+    # per-sample partials of w1, b1, w2 and b2, each with a slot for its total
+    parts = [np.empty((full + 1,) + shape, dtype=dtype)
+             for shape in ((k, hidden), (hidden,), (hidden, out), (out,))]
+    totals = [None] * 4
+    gx = np.empty((b, n, k), dtype=dtype)
+    for blk in blocks:
+        gb = g[blk]
+        m = len(gb)
+        pw1, pb1, pw2, pb2 = (p[:m] for p in parts)
+        np.matmul(np.swapaxes(act[blk], -1, -2), gb, out=pw2)
+        gb.sum(axis=-2, out=pb2)
+        gh = np.matmul(gb, w2.T, out=gh_buf[:m])
+        gh *= dact[blk]
+        np.matmul(np.swapaxes(x[blk], -1, -2), gh, out=pw1)
+        gh.sum(axis=-2, out=pb1)
+        np.matmul(gh, w1.T, out=gx[blk])
+        totals = [_add_samples(p, m, t) for p, t in zip(parts, totals)]
+    for r, total in zip(recs, totals):
+        _accumulate(r, total)
+    return gx
 
 
-def ffn(x, w1, b1, w2, b2):
-    """linear(gelu(linear(x, w1, b1)), w2, b2) for x (..., K), exact GELU."""
+def ffn(x, w1, b1, w2, b2, norm=None):
+    """linear(gelu(linear(x, w1, b1)), w2, b2) for x (..., K), exact GELU.
+
+    With `norm`, a (gamma, beta) pair, the node reads layer_norm(x, gamma,
+    beta) in place of x and folds that LayerNorm in (`_pre_norm`): it keeps
+    x̂ and 1/σ, not the normalized input.
+    """
     if x.ndim < 2 or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
         raise ShapeError(f"ffn needs (..., K), (K, H) and (H, N) operands, got "
                          f"{tuple(x.shape)}, {tuple(w1.shape)} and {tuple(w2.shape)}")
-    xd, w1d, w2d = x.data, w1.data, w2.data
+    xd, reform, norm_back, norm_recs = _pre_norm(x, norm)
+    w1d, w2d = w1.data, w2.data
     rx, recs = x.rec, (w1.rec, b1.rec, w2.rec, b2.rec)
-    y, act, dact = _ffn_forward(xd, w1d, b1.data, w2d, b2.data, _recording(rx, *recs))
+    inputs = (rx,) + norm_recs + recs
+    y, act, dact = _ffn_forward(xd, w1d, b1.data, w2d, b2.data, _recording(*inputs))
 
     def back(g):
-        _accumulate(rx, _ffn_backward(g, xd, act, dact, w1d, w2d, recs))
+        _accumulate(rx, norm_back(_ffn_backward(g, reform(), act, dact, w1d, w2d, recs)))
 
-    return _record(Tensor(y), (rx,) + recs, back)
+    return _record(Tensor(y), inputs, back)
 
 
 def moe_ffn(rows, probs, groups, experts):
@@ -620,10 +726,12 @@ def moe_ffn(rows, probs, groups, experts):
     return _record(Tensor(out), (rrows, rprobs) + sum(recs, ()), back)
 
 
-def attend(x, wq, bq, wk, bk, wv, bv, heads):
+def attend(x, wq, bq, wk, bk, wv, bv, heads, norm=None):
     """Multi-head self-attention softmax(q_h @ k_h^T / sqrt(dh)) @ v_h over a
     (B, L, K) x, with q = x @ wq + bq, k = x @ wk + bk, v = x @ wv + bv, each
-    projection (K, D) and each bias (D,).
+    projection (K, D) and each bias (D,).  With `norm`, a (gamma, beta)
+    pair, the node reads layer_norm(x, gamma, beta) in place of x and folds
+    that LayerNorm in (`_pre_norm`).
 
     Head h owns features [h * dh, (h + 1) * dh) of D; heads are split and
     merged through strided views, with no per-head copies.  Work runs one
@@ -634,11 +742,13 @@ def attend(x, wq, bq, wk, bk, wv, bv, heads):
     scores keys-major, k_h @ q_h^T shaped (block, H, L_k, L_q), so the
     softmax reduces down columns, vectorised across queries.
 
-    The node keeps x, the output and each query's softmax max and sum:
-    neither q, k, v nor the (B, H, L, L) probabilities.  The projections
-    are cheap GEMMs of x, so the backward pass re-projects each block with
-    the forward's own operations and, as in FlashAttention, re-forms its P^T
-    from the max and sum, so q, k, v and P keep their bits.  It takes
+    The node keeps its input (x, or x̂ and 1/σ with a norm), the output and
+    each query's softmax max and sum: neither q, k, v nor the (B, H, L, L)
+    probabilities.  The projections are cheap GEMMs of the input, so the
+    backward pass re-projects each block with the forward's own operations,
+    after re-forming the block's normalized input when there is a norm,
+    and, as in FlashAttention, re-forms its P^T from the max and sum, so q,
+    k, v and P keep their bits.  It takes
     dS = P * (dP - rowsum(dO * O)) without FlashAttention's tiling, then
     the block's dq, dk, dv, the per-sample partials of the six projection
     parameters, and dx = (dv @ wv^T + dk @ wk^T) + dq @ wq^T, the order in
@@ -651,21 +761,19 @@ def attend(x, wq, bq, wk, bk, wv, bv, heads):
         raise ShapeError(f"attend needs a (B, L, K) x, (K, D) projections and (D,) biases with "
                          f"D divisible by {heads} heads, got "
                          + ", ".join(str(tuple(t.shape)) for t in (x, wq, bq, wk, bk, wv, bv)))
-    xd = x.data
+    xd, reform, norm_back, norm_recs = _pre_norm(x, norm)
     weights = [(w.data, bias.data) for w, bias in projections]
     b, n, k_in = xd.shape
     scale = 1.0 / math.sqrt(d // heads)
     dtype = np.result_type(xd, *sum(weights, ()))
-    step = max(1, _ATTEND_BLOCK // max(1, heads * n * n * dtype.itemsize))
-    blocks = [slice(i, i + step) for i in range(0, b, step)]
+    step, blocks = _sample_blocks(b, _ATTEND_BLOCK, heads * n * n * dtype.itemsize)
     block_shape = (min(b, step), heads, n, n)
     qkv_shape = (3, min(b, step), n, d)
 
     def split(a):  # (m, L, D) -> (m, H, L, dh) view
         return a.reshape(len(a), n, heads, d // heads).transpose(0, 2, 1, 3)
 
-    def project(blk, qkv):  # a block's q, k, v, projected into the qkv buffer
-        xb = xd[blk]
+    def project(xb, qkv):  # a block's q, k, v, projected into the qkv buffer
         for buf, (w, bias) in zip(qkv, weights):
             np.matmul(xb, w, out=buf[:len(xb)])
             buf[:len(xb)] += bias
@@ -680,7 +788,7 @@ def attend(x, wq, bq, wk, bk, wv, bv, heads):
     y = np.empty((b, n, d), dtype=dtype)
     qkv, pt = np.empty(qkv_shape, dtype=dtype), np.empty(block_shape, dtype=dtype)
     for blk in blocks:
-        qh, kh, vh = map(split, project(blk, qkv))
+        qh, kh, vh = map(split, project(xd[blk], qkv))
         s = scores(qh, kh, pt)
         row_max[blk], row_sum[blk] = _softmax_rows(s, axis=-2)
         np.matmul(np.swapaxes(s, -1, -2), vh, out=split(y)[blk])
@@ -694,9 +802,10 @@ def attend(x, wq, bq, wk, bk, wv, bv, heads):
         p_buf, ds_buf = np.empty((2,) + block_shape, dtype=dtype)  # one block's P^T and dS^T
         gw = np.empty((3, b, k_in, d), dtype=dtype)  # per-sample partials of wq, wk, wv
         gb = np.empty((3, b, d), dtype=dtype)  # and of bq, bk, bv
-        gx = np.empty(xd.shape, dtype=dtype)
+        gx = np.empty((b, n, k_in), dtype=dtype)
         for blk in blocks:
-            qh, kh, vh = map(split, project(blk, qkv))
+            xb = reform(blk)
+            qh, kh, vh = map(split, project(xb, qkv))
             p = scores(qh, kh, p_buf)
             p -= row_max[blk]
             np.exp(p, out=p)
@@ -709,7 +818,7 @@ def attend(x, wq, bq, wk, bk, wv, bv, heads):
             np.matmul(p, gh[blk], out=split(dv))
             np.matmul(np.swapaxes(ds, -1, -2), kh, out=split(dq))
             np.matmul(ds, qh, out=split(dk))
-            xt = np.swapaxes(xd[blk], -1, -2)
+            xt = np.swapaxes(xb, -1, -2)
             for j, dproj in enumerate((dq, dk, dv)):
                 np.matmul(xt, dproj, out=gw[j, blk])
                 gb[j, blk] = dproj.sum(axis=-2)
@@ -717,12 +826,12 @@ def attend(x, wq, bq, wk, bk, wv, bv, heads):
             np.matmul(dv, wvd.T, out=gx[blk])
             gx[blk] += np.matmul(dk, wkd.T)
             gx[blk] += np.matmul(dq, wqd.T)
-        _accumulate(rx, gx)
+        _accumulate(rx, norm_back(gx))
         for (rw, rb), gwj, gbj in zip(recs, gw, gb):
             _accumulate(rw, gwj)
             _accumulate(rb, gbj)
 
-    return _record(Tensor(y), (rx,) + sum(recs, ()), back)
+    return _record(Tensor(y), (rx,) + norm_recs + sum(recs, ()), back)
 
 
 # ---------------------------------------------------------------------------

@@ -372,14 +372,33 @@ def _pins(registry, model_cfg):
             "meta.model_config": ckpt.json_to_u8(model_cfg.to_dict())}
 
 
+def _decoded(named, k, decode):
+    """decode(named[k]), or a CompatibilityError naming entry k when its bytes
+    are not what `decode` reads."""
+    try:
+        return decode(named[k])
+    except (ValueError, TypeError, KeyError, OverflowError) as err:
+        raise CompatibilityError(f"checkpoint entry {k!r} does not decode: "
+                                 f"{type(err).__name__}: {err}") from None
+
+
+def _json_object(arr):
+    obj = ckpt.u8_to_json(arr)
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def check_compatible(named, expected, model_cfg):
     """Raise CompatibilityError unless the checkpoint tensors `named` hold, checked
     in order, the registry digest of `expected` (which holds `_pins`), the
-    architecture of `model_cfg`, and every entry of `expected` at its dtype and shape
-    (a uint8, byte-encoded entry at any length); objective settings may differ."""
+    architecture of `model_cfg` in a JSON object, and every entry of `expected`
+    at its dtype and shape (a uint8, byte-encoded entry at any length), each
+    `rng.<name>` a PCG64 state; objective settings may differ."""
     if not np.array_equal(named.get("meta.registry"), expected["meta.registry"]):
         raise CompatibilityError("checkpoint was trained against a different sensor registry")
-    stored_cfg = ckpt.u8_to_json(named["meta.model_config"]) if "meta.model_config" in named else {}
+    stored_cfg = (_decoded(named, "meta.model_config", _json_object)
+                  if "meta.model_config" in named else {})
     if any(stored_cfg.get(k) != getattr(model_cfg, k) for k in model_cfg.ARCHITECTURE):
         raise CompatibilityError("checkpoint model configuration does not match this run")
     for k, want in expected.items():
@@ -389,6 +408,8 @@ def check_compatible(named, expected, model_cfg):
         if got.dtype != want.dtype or (got.shape != want.shape and want.dtype != np.uint8):
             raise CompatibilityError(f"checkpoint entry {k!r} is {got.dtype} of shape "
                                      f"{got.shape}, expected {want.dtype} of shape {want.shape}")
+        if k.startswith("rng."):
+            _decoded(named, k, ckpt.rng_from_u8)
 
 
 def load_pretrained(path, registry, model_cfg):

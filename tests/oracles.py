@@ -190,6 +190,27 @@ def ffn_composite(x, w1, b1, w2, b2, g):
     return y, gx, gw1, gb1, gw2, gb2
 
 
+def ffn_backward_whole_batch(g, x, act, dact, w1, w2):
+    """The backward pass of a (B, L, K) FFN batch as one piece, in the
+    library's float operations: the whole batch's hidden gradient and
+    per-sample parameter partials at once, each partial's samples then added
+    last to first, one at a time.  Returns the gradients of x, w1, b1, w2
+    and b2."""
+    def last_to_first(parts):
+        total = parts[-1]
+        for part in parts[-2::-1]:
+            total = total + part
+        return total
+
+    gw2 = np.matmul(np.swapaxes(act, -1, -2), g)
+    gb2 = g.sum(axis=-2)
+    gh = np.matmul(g, w2.T)
+    gh *= dact
+    gw1 = np.matmul(np.swapaxes(x, -1, -2), gh)
+    gb1 = gh.sum(axis=-2)
+    return [np.matmul(gh, w1.T)] + [last_to_first(p) for p in (gw1, gb1, gw2, gb2)]
+
+
 def moe_ffn_composite(rows, probs, groups, experts, g):
     """Per expert e: gather rows groups[e], `ffn_composite` on them, scale
     each output row by its gate probs[row, e], and scatter it back; rows in

@@ -539,6 +539,45 @@ def test_resume_checks_every_entry_it_reads(ws, tmp_path, capsys, entry, change)
     assert entry in err and "Traceback" not in err
 
 
+def _mt19937_state():
+    state = np.random.Generator(np.random.MT19937(3)).bit_generator.state
+    state["state"]["key"] = state["state"]["key"].tolist()
+    return json.dumps(state).encode("utf-8")
+
+
+UNDECODABLE = {"zeros": bytes(16), "ff": b"\xff", "fffe": b"\xff\xfe", "list": b"[]",
+               "empty-object": b"{}", "mt19937": _mt19937_state()}
+
+
+@pytest.mark.parametrize("entry, payload, commands", [
+    ("meta.model_config", "zeros", ("evaluate", "pretrain")),
+    ("meta.model_config", "ff", ("evaluate", "pretrain")),
+    ("meta.model_config", "list", ("evaluate", "pretrain")),
+    ("rng.mask", "zeros", ("pretrain",)),
+    ("rng.mask", "fffe", ("pretrain",)),
+    ("rng.mask", "empty-object", ("pretrain",)),
+    ("rng.mask", "mt19937", ("pretrain",)),
+])
+def test_undecodable_byte_entry_is_incompatible(ws, tmp_path, capsys, entry, payload, commands):
+    """A byte-encoded entry that is not a JSON object, or an RNG entry that
+    is not a PCG64 state, under a valid checksum: each command that reads it
+    exits 5 naming it, with no traceback; `evaluate` reads no RNG entry."""
+    named = ckpt.load_tensors(os.path.join(ws["pre"], "checkpoint-final.msgm"))
+    named[entry] = ckpt.bytes_to_u8(UNDECODABLE[payload])
+    broken = str(tmp_path / "broken.msgm")
+    ckpt.save_tensors(broken, named)
+    for command in ("evaluate", "pretrain"):
+        flag = "--resume" if command == "pretrain" else "--checkpoint"
+        code = main([command, "--config", ws["cfg"], "--data", ws["data"], flag, broken,
+                     "--out", str(tmp_path / command), "--set", "train.epochs=3"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command in commands:
+            assert code == 5 and entry in err, (command, code, err)
+        else:
+            assert code == 0, (command, code, err)
+
+
 def test_evaluate_refuses_a_float64_parameter(ws, tmp_path, capsys):
     named = ckpt.load_tensors(os.path.join(ws["pre"], "checkpoint-final.msgm"))
     named["encoder.block0.ffn.w2"] = named["encoder.block0.ffn.w2"].astype(np.float64)

@@ -447,6 +447,16 @@ def test_grad_ffn_moe_ffn(rng):
     check_op(lambda *a: weighted(fused(*a)), *arrays)
 
 
+def test_grad_attend_and_ffn_with_a_folded_norm(rng):
+    """A folded LayerNorm passes gradients to x, gamma, beta and every weight."""
+    x = rng.normal(size=(2, 5, 4)) * 2.0 + 1.0
+    gamma, beta = rng.normal(size=4) + 1.0, rng.normal(size=4)
+    check_op(lambda xx, gg, bb, *w: weighted(T.attend(xx, *w, 2, norm=(gg, bb))),
+             x, gamma, beta, *attention_arrays(rng, 2, 5, 4, 6)[1:])
+    check_op(lambda xx, gg, bb, *w: weighted(T.ffn(xx, *w, norm=(gg, bb))),
+             x, gamma, beta, *ffn_arrays(rng, d=4))
+
+
 def test_moe_ffn_forward_scatters_gated_rows_into_zeros(rng):
     groups = [np.array([3]), np.array([0, 1])]
     arrays, fused = moe_case(rng, groups, experts=2)
@@ -670,6 +680,91 @@ def test_attend_matches_kept_probability_attention_bitwise_in_float32(rng):
     for a, want in zip(got, [y] + [leaf.grad for leaf in leaves]):
         assert a.dtype == np.float32
         np.testing.assert_array_equal(a, want)
+
+
+def folded_norm_case(op, rng):
+    """(node(x, norm), x, gamma, beta, weights, g) in float32 at
+    `multi_block_attend_case`'s batch; node is `attend` or `ffn`."""
+    heads, x, weights, g = multi_block_attend_case(rng)
+    d = x.shape[-1]
+    gamma, beta = ((rng.normal(size=d) + 1.0).astype(np.float32),
+                   rng.normal(size=d).astype(np.float32))
+    if op == "ffn":
+        weights = [a.astype(np.float32) for a in ffn_arrays(rng, d=d, hidden=2 * d)]
+        return (lambda h, ws, norm=None: T.ffn(h, *ws, norm=norm)), x, gamma, beta, weights, g
+    return (lambda h, ws, norm=None: T.attend(h, *ws, heads, norm=norm)), x, gamma, beta, weights, g
+
+
+@pytest.mark.parametrize("op", ["attend", "ffn"])
+def test_folded_norm_matches_layer_norm_node_bitwise_in_float32(op, rng):
+    """A node with its LayerNorm folded in gives the bits of a `layer_norm`
+    node followed by the plain node: output, x's, gamma's, beta's and every
+    weight's gradient."""
+    node, x, gamma, beta, weights, g = folded_norm_case(op, rng)
+
+    def run(fused):
+        leaves = [T.Tensor(a, requires_grad=True) for a in [x, gamma, beta] + weights]
+        xt, gt, bt, *ws = leaves
+        with T.fresh_tape() as tape:
+            out = node(xt, ws, (gt, bt)) if fused else node(T.layer_norm(xt, gt, bt), ws)
+            nodes = len(tape)
+            T.backward(T.reduce_sum(out * T.constant(g, like=out)))
+        return nodes, [out.data] + [leaf.grad for leaf in leaves]
+
+    (fused_nodes, fused), (plain_nodes, plain) = run(True), run(False)
+    assert (fused_nodes, plain_nodes) == (1, 2)
+    assert len(fused) == 4 + len(weights)
+    for got, want in zip(fused, plain):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("op", ["attend", "ffn"])
+def test_folded_norm_node_keeps_xhat_and_inv_sigma_not_its_input(op, rng, monkeypatch):
+    """The node keeps x-hat and 1/sigma, and no array that shares memory with
+    the normalized input x-hat * gamma + beta it read."""
+    formed, real = [], T._layer_norm_forward
+
+    def spy(*args):
+        formed.append(real(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(T, "_layer_norm_forward", spy)
+    node, x, gamma, beta, weights, _ = folded_norm_case(op, rng)
+    x, gamma, beta, *weights = (T.Tensor(a, requires_grad=True)
+                                for a in [x, gamma, beta] + weights)
+    with T.fresh_tape() as tape:
+        node(x, weights, (gamma, beta))
+        kept = held_arrays(tape)
+    (normalized, xhat, inv), = formed
+    assert len(tape) == 1 and inv.shape == x.shape[:-1] + (1,)
+    assert shares_any(kept, [xhat]) and shares_any(kept, [inv])
+    assert not shares_any(kept, [normalized, x.data])
+
+
+@pytest.mark.parametrize("out, b", [(16, 7), (1, 10)])
+def test_blocked_ffn_backward_matches_whole_batch_bitwise_in_float32(rng, monkeypatch, out, b):
+    """Three full sample blocks and a short one, summed last to first, give
+    the whole batch's bits for x and all four parameters, one-element bias
+    shares (out = 1) included."""
+    n, k, hidden = 64, 16, 512
+    x = rng.normal(size=(b, n, k)).astype(np.float32)
+    w1, b1, w2, b2 = (a.astype(np.float32) for a in (
+        rng.normal(size=(k, hidden)) * k ** -0.5, rng.normal(size=hidden) * 0.3,
+        rng.normal(size=(hidden, out)) * hidden ** -0.5, rng.normal(size=out) * 0.3))
+    _, act, dact = T._ffn_forward(x, w1, b1, w2, b2)
+    g = rng.normal(size=(b, n, out)).astype(np.float32)
+    recs = [T.GradRecord(True, a.shape, a.dtype) for a in (w1, b1, w2, b2)]
+    seen, real = [], T._sample_blocks
+    monkeypatch.setattr(T, "_sample_blocks", lambda *a: seen.append(real(*a)) or seen[-1])
+    gx = T._ffn_backward(g, x, act, dact, w1, w2, recs)
+    (step, blocks), = seen
+    assert [blk.start for blk in blocks] == list(range(0, b, step))[::-1]
+    assert len(blocks) >= 4 and b % step
+    want = oracles.ffn_backward_whole_batch(g, x, act, dact, w1, w2)
+    for got, expect in zip([gx] + [r.grad for r in recs], want):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, expect)
 
 
 def sample_loop_sum(g):
